@@ -76,13 +76,13 @@ func runnerJobs() []runner.Job {
 	return jobs
 }
 
-// BenchmarkRunnerCold measures a full pool run with no cache: every job is
+// BenchmarkRunnerCold measures a full scheduler run with no cache: every job is
 // simulated from scratch. Contrast with BenchmarkRunnerCached.
 func BenchmarkRunnerCold(b *testing.B) {
 	jobs := runnerJobs()
 	for i := 0; i < b.N; i++ {
-		pool := runner.New(runner.Options{Parallelism: 4})
-		if _, err := pool.Run(context.Background(), jobs); err != nil {
+		sched := runner.NewScheduler(runner.SchedulerOptions{Parallelism: 4})
+		if _, err := sched.RunBatch(context.Background(), runner.Batch{Jobs: jobs}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,13 +95,14 @@ func BenchmarkRunnerCold(b *testing.B) {
 func BenchmarkRunnerCached(b *testing.B) {
 	jobs := runnerJobs()
 	cache := runner.NewCache()
-	pool := runner.New(runner.Options{Parallelism: 4, Store: cache})
-	if _, err := pool.Run(context.Background(), jobs); err != nil {
+	sched := runner.NewScheduler(runner.SchedulerOptions{Parallelism: 4, Store: cache})
+	batch := runner.Batch{Jobs: jobs}
+	if _, err := sched.RunBatch(context.Background(), batch); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pool.Run(context.Background(), jobs); err != nil {
+		if _, err := sched.RunBatch(context.Background(), batch); err != nil {
 			b.Fatal(err)
 		}
 	}

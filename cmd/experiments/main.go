@@ -24,7 +24,7 @@
 //	experiments -fig 6 -server http://localhost:8321   # run on a rsepd daemon
 //
 // With -server, every batch is submitted to a remote rsepd daemon instead of
-// the in-process pool; the daemon's store absorbs the jobs (the tables are
+// the in-process scheduler; the daemon's store absorbs the jobs (the tables are
 // byte-identical either way), and the local -cache flags are unused.
 package main
 

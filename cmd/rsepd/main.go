@@ -20,17 +20,6 @@
 //	rsepd -pprof-addr localhost:6060     # expose net/http/pprof separately
 //	experiments -fig 6 -server http://localhost:8321
 //
-// Front-end mode: with -shards, the daemon stops simulating locally by
-// default and instead consistent-hashes each submitted job across the
-// listed shard daemons, merging their result streams back into one ordered
-// response. A shard that fails mid-batch is evicted and only its aborted
-// jobs are replayed on a sibling (finished slices stay finished in the
-// shard's store); when every shard is down, the batch degrades to local
-// execution. /v1/status then carries the live shard table, and /metrics
-// the retry/hedge/evict counters:
-//
-//	rsepd -addr :8320 -shards http://sim1:8321,http://sim2:8321,http://sim3:8321
-//
 // Profiling: -pprof-addr (off by default) starts a second listener serving
 // the standard net/http/pprof endpoints (/debug/pprof/...), so daemon-side
 // hot paths can be profiled under live traffic the way -cpuprofile and
@@ -61,7 +50,6 @@ import (
 	"time"
 
 	"rsepsim/internal/cliutil"
-	"rsepsim/internal/fabric"
 	"rsepsim/internal/runner"
 	"rsepsim/internal/serve"
 	"rsepsim/internal/store"
@@ -70,16 +58,12 @@ import (
 func main() {
 	var shared cliutil.Flags
 	shared.RegisterStore(flag.CommandLine)
-	shared.RegisterShards(flag.CommandLine)
 	var (
-		addr        = flag.String("addr", ":8321", "listen address")
-		par         = flag.Int("par", 0, "concurrent simulations (default NumCPU)")
-		verbose     = flag.Bool("v", false, "log every admitted batch")
-		drainSecs   = flag.Int("drain", 30, "graceful shutdown drain budget, seconds")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty; use a loopback or internal interface)")
-		retryBudget = flag.Int("retry-budget", fabric.DefaultRetryBudget, "front-end mode: replay rounds per batch before unresolved jobs fail")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "front-end mode: duplicate a straggler shard's unresolved jobs on a sibling after this delay (0: off)")
-		probeEvery  = flag.Duration("probe-every", 5*time.Second, "front-end mode: shard health-probe interval")
+		addr      = flag.String("addr", ":8321", "listen address")
+		par       = flag.Int("par", 0, "concurrent simulations (default NumCPU)")
+		verbose   = flag.Bool("v", false, "log every admitted batch")
+		drainSecs = flag.Int("drain", 30, "graceful shutdown drain budget, seconds")
+		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (off when empty; use a loopback or internal interface)")
 	)
 	flag.Parse()
 
@@ -103,29 +87,10 @@ func main() {
 	if !*verbose {
 		batchLog = nil
 	}
-	opts := serve.Options{Sched: sched, Disk: disk, Log: batchLog}
+	srv := serve.NewServer(serve.Options{Sched: sched, Disk: disk, Log: batchLog})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	var fab *fabric.Fabric
-	if shardURLs := shared.ShardList(); len(shardURLs) > 0 {
-		fab, err = fabric.New(fabric.Options{
-			Shards:      shardURLs,
-			Local:       sched, // degradation target when every shard is down
-			RetryBudget: *retryBudget,
-			HedgeAfter:  *hedgeAfter,
-			Logf:        logger.Printf,
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		fab.StartProber(ctx, *probeEvery)
-		opts.Runner = fab
-		opts.Fabric = fab.Status
-		logger.Printf("front-end mode: %d shards, retry budget %d", len(shardURLs), *retryBudget)
-	}
-	srv := serve.NewServer(opts)
 
 	httpSrv := &http.Server{
 		Addr:              *addr,

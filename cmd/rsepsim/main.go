@@ -99,8 +99,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The run goes through a BatchRunner either way: the in-process pool, or
-	// a client for the remote daemon — the submission below cannot tell.
+	// The run goes through a BatchRunner either way: the in-process
+	// scheduler, or a client for the remote daemon — the submission below
+	// cannot tell.
 	backend, err := shared.Backend("rsepsim")
 	if err != nil {
 		fail(2, err)

@@ -21,11 +21,11 @@ func main() {
 	job := func(cfg *config.Config) runner.Job {
 		return runner.Job{Bench: bench, Config: cfg, Seed: 42, Warmup: warm, Measure: measure}
 	}
-	pool := runner.New(runner.Options{Parallelism: 2})
-	res, err := pool.Run(context.Background(), []runner.Job{
+	sched := runner.NewScheduler(runner.SchedulerOptions{Parallelism: 2})
+	res, err := sched.RunBatch(context.Background(), runner.Batch{Jobs: []runner.Job{
 		job(config.TableI()),
 		job(config.TableI().WithRSEP(rsep.Realistic())),
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

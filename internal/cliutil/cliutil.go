@@ -8,7 +8,6 @@ package cliutil
 
 import (
 	"flag"
-	"strings"
 
 	"rsepsim/internal/runner"
 	"rsepsim/internal/serve"
@@ -26,7 +25,6 @@ type Flags struct {
 	Server    string
 	JSON      bool
 	Slices    uint
-	Shards    string
 }
 
 // RegisterStore adds the -cache-dir / -cache / -cache-warm trio.
@@ -51,26 +49,6 @@ func (f *Flags) RegisterJSON(fs *flag.FlagSet) {
 func (f *Flags) RegisterSlices(fs *flag.FlagSet) {
 	fs.UintVar(&f.Slices, "slices", 0,
 		"decompose each job into this many checkpoint-chained slices; results are byte-identical, but a killed run resumes from finished slices (0 or 1: monolithic)")
-}
-
-// RegisterShards adds -shards, the front-end fabric switch.
-func (f *Flags) RegisterShards(fs *flag.FlagSet) {
-	fs.StringVar(&f.Shards, "shards", "",
-		"comma-separated shard daemon URLs; jobs are consistent-hashed across them and replayed on a sibling if a shard fails (front-end mode)")
-}
-
-// ShardList returns the parsed -shards URLs (nil when the flag is unset).
-func (f *Flags) ShardList() []string {
-	if strings.TrimSpace(f.Shards) == "" {
-		return nil
-	}
-	var urls []string
-	for _, u := range strings.Split(f.Shards, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	return urls
 }
 
 // Backend is the resolved execution side of the flags: exactly one of Client
@@ -105,12 +83,12 @@ func (f *Flags) Backend(prog string) (*Backend, error) {
 }
 
 // Runner returns the BatchRunner to submit through: the remote client, or an
-// in-process pool of the given parallelism over the mounted store.
+// in-process scheduler of the given parallelism over the mounted store.
 func (b *Backend) Runner(parallelism int) runner.BatchRunner {
 	if b.Client != nil {
 		return b.Client
 	}
-	return runner.New(runner.Options{Parallelism: parallelism, Store: b.Store})
+	return runner.NewScheduler(runner.SchedulerOptions{Parallelism: parallelism, Store: b.Store})
 }
 
 // Counters reports hit/miss/stale from whichever side is active.

@@ -4,7 +4,7 @@
 // renders a metrics.Table whose rows mirror the figure's series.
 //
 // All simulation goes through internal/runner: a figure expands to a list of
-// (benchmark, configuration, segment) jobs, and the shared pool handles
+// (benchmark, configuration, segment) jobs, and the scheduler handles
 // parallelism, cancellation, deduplication and result caching. Passing the
 // same Options.Store to several figure runners lets them reuse each other's
 // simulations — Figures 4, 5 and 6 share baseline and ideal-RSEP
@@ -35,7 +35,7 @@ type Options struct {
 	Measure    uint64   // measured instructions per segment
 	BaseSeed   int64
 	// Parallelism bounds concurrent simulations. In-process it sizes the
-	// pool (default: NumCPU); with a remote Runner it rides along as the
+	// scheduler (default: NumCPU); with a remote Runner it rides along as the
 	// per-batch bound, where 0 means "let the daemon decide".
 	Parallelism int
 	// Slices > 1 decomposes every job into that many checkpoint-chained
@@ -82,12 +82,12 @@ func (o Options) Defaults() Options {
 }
 
 // batchRunner returns the execution backend for these options: the explicit
-// Runner when set, an in-process pool otherwise.
+// Runner when set, an in-process scheduler otherwise.
 func (o Options) batchRunner() runner.BatchRunner {
 	if o.Runner != nil {
 		return o.Runner
 	}
-	return runner.New(runner.Options{
+	return runner.NewScheduler(runner.SchedulerOptions{
 		Parallelism: o.Parallelism,
 		Store:       o.Store,
 	})

@@ -10,7 +10,7 @@ import (
 	"rsepsim/internal/metrics"
 )
 
-// TestPoolCancellationMidBatch drives a pool through a deterministic
+// TestPoolCancellationMidBatch drives a scheduler through a deterministic
 // cancellation: with one worker, job 1 completes, job 2 blocks until the
 // context dies, job 3 is never started. The completed result must be
 // returned AND flushed to the store; the other two must carry the
@@ -21,7 +21,7 @@ func TestPoolCancellationMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(t.Context())
 	cache := NewCache()
 	var ran3 atomic.Bool
-	pool := New(Options{
+	sched := NewScheduler(SchedulerOptions{
 		Parallelism: 1,
 		Store:       cache,
 		Executor: func(c context.Context, j Job) (*metrics.Stats, error) {
@@ -40,7 +40,7 @@ func TestPoolCancellationMidBatch(t *testing.T) {
 	})
 
 	jobs := []Job{stubJob(1), stubJob(2), stubJob(3)}
-	res, err := pool.Run(ctx, jobs)
+	res, err := sched.RunBatch(ctx, Batch{Jobs: jobs})
 
 	var pe *PartialError
 	if !errors.As(err, &pe) {
@@ -108,7 +108,7 @@ func TestPartialErrorUnwrapChain(t *testing.T) {
 
 	// The real thing: a cancelled run's error chain reaches the ctx cause.
 	ctx, cancel := context.WithCancelCause(t.Context())
-	pool := New(Options{
+	sched := NewScheduler(SchedulerOptions{
 		Parallelism: 1,
 		Executor: func(c context.Context, j Job) (*metrics.Stats, error) {
 			cancel(cause)
@@ -116,7 +116,7 @@ func TestPartialErrorUnwrapChain(t *testing.T) {
 			return nil, context.Cause(c)
 		},
 	})
-	_, err := pool.Run(ctx, []Job{stubJob(1), stubJob(2)})
+	_, err := sched.RunBatch(ctx, Batch{Jobs: []Job{stubJob(1), stubJob(2)}})
 	if !errors.As(err, &got) {
 		t.Fatalf("err = %v, want *PartialError", err)
 	}
@@ -126,7 +126,7 @@ func TestPartialErrorUnwrapChain(t *testing.T) {
 
 	// Plain context.Canceled keeps working too.
 	ctx2, cancel2 := context.WithCancel(t.Context())
-	pool2 := New(Options{
+	sched2 := NewScheduler(SchedulerOptions{
 		Parallelism: 1,
 		Executor: func(c context.Context, j Job) (*metrics.Stats, error) {
 			cancel2()
@@ -134,9 +134,36 @@ func TestPartialErrorUnwrapChain(t *testing.T) {
 			return nil, context.Cause(c)
 		},
 	})
-	_, err = pool2.Run(ctx2, []Job{stubJob(1), stubJob(2)})
+	_, err = sched2.RunBatch(ctx2, Batch{Jobs: []Job{stubJob(1), stubJob(2)}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
+	}
+}
+
+// TestJobFailureTyped: a batch that completes with a failing job reports a
+// *JobFailure carrying the index, bench and cause — the typed error that lets
+// a caller tell a deterministic job failure from a lost batch.
+func TestJobFailureTyped(t *testing.T) {
+	boom := errors.New("boom")
+	sched := NewScheduler(SchedulerOptions{
+		Parallelism: 2,
+		Executor: func(ctx context.Context, j Job) (*metrics.Stats, error) {
+			if j.Seed == 2 {
+				return nil, boom
+			}
+			return &metrics.Stats{Cycles: uint64(j.Seed)}, nil
+		},
+	})
+	res, err := sched.RunBatch(context.Background(), Batch{Jobs: []Job{stubJob(1), stubJob(2), stubJob(3)}})
+	var jf *JobFailure
+	if !errors.As(err, &jf) {
+		t.Fatalf("want *JobFailure, got %T: %v", err, err)
+	}
+	if jf.Index != 1 || !errors.Is(jf, boom) {
+		t.Fatalf("failure misattributed: index %d, err %v", jf.Index, jf.Err)
+	}
+	if res[0].Stats == nil || res[2].Stats == nil {
+		t.Fatal("healthy jobs did not complete alongside the failure")
 	}
 }
 

@@ -4,12 +4,12 @@
 // pipeline.Core.
 //
 // A Job names one (benchmark, configuration, seed, protocol) simulation. The
-// Pool schedules jobs onto a bounded worker pool with context cancellation,
-// deduplicates identical jobs in flight (single-flight), consults an
-// optional result Store keyed by the canonical configuration hash (the
-// in-process Cache, or the persistent tiered store in internal/store), and
-// reports per-job completion through a progress callback. Results come back
-// in job-submission order regardless of worker count, so any sweep is
+// Scheduler runs batches of jobs on a bounded worker set with context
+// cancellation, deduplicates identical jobs in flight (single-flight),
+// consults an optional result Store keyed by the canonical configuration hash
+// (the in-process Cache, or the persistent tiered store in internal/store),
+// and reports per-job completion through a progress callback. Results come
+// back in job-submission order regardless of worker count, so any sweep is
 // deterministic at any parallelism.
 package runner
 
@@ -91,7 +91,7 @@ func Simulate(ctx context.Context, j Job) (*metrics.Stats, error) {
 // instruction source — a workload generator or a materialized trace file.
 // Jobs with custom sources bypass the cache (their outcome is not identified
 // by a benchmark name); named benchmarks should go through Simulate or a
-// Pool instead.
+// Scheduler instead.
 //
 // The core comes from (and returns to) the geometry-keyed pool in
 // corepool.go, so a warm worker pays a wholesale reset instead of table

@@ -49,8 +49,8 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	jobs := testJobs()
 	var golden []byte
 	for _, par := range []int{1, 4, runtime.NumCPU()} {
-		pool := New(Options{Parallelism: par})
-		res, err := pool.Run(t.Context(), jobs)
+		sched := NewScheduler(SchedulerOptions{Parallelism: par})
+		res, err := sched.RunBatch(t.Context(), Batch{Jobs: jobs})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -94,12 +94,12 @@ func TestKeyDistinguishesConfigsNotSeedAliases(t *testing.T) {
 	}
 }
 
-// TestSingleFlight: identical jobs in one Run are simulated once.
+// TestSingleFlight: identical jobs in one batch are simulated once.
 func TestSingleFlight(t *testing.T) {
 	cache := NewCache()
-	pool := New(Options{Parallelism: 4, Store: cache})
+	sched := NewScheduler(SchedulerOptions{Parallelism: 4, Store: cache})
 	j := Job{Bench: "gamess", Config: config.TableI(), Seed: 1, Warmup: 5_000, Measure: 10_000}
-	res, err := pool.Run(t.Context(), []Job{j, j, j, j})
+	res, err := sched.RunBatch(t.Context(), Batch{Jobs: []Job{j, j, j, j}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +113,14 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCacheHits: a second Run over the same jobs is served entirely from the
+// TestCacheHits: a second batch of the same jobs is served entirely from the
 // cache, and cached results equal simulated ones.
 func TestCacheHits(t *testing.T) {
 	jobs := testJobs()
 	cache := NewCache()
-	pool := New(Options{Parallelism: 4, Store: cache})
+	sched := NewScheduler(SchedulerOptions{Parallelism: 4, Store: cache})
 
-	first, err := pool.Run(t.Context(), jobs)
+	first, err := sched.RunBatch(t.Context(), Batch{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,11 @@ func TestCacheHits(t *testing.T) {
 	}
 
 	var hitCount int
-	pool.opt.OnProgress = func(p Progress) {
+	second, err := sched.RunBatch(t.Context(), Batch{Jobs: jobs, OnProgress: func(p Progress) {
 		if p.CacheHit {
 			hitCount++
 		}
-	}
-	second, err := pool.Run(t.Context(), jobs)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +152,14 @@ func TestCancelledContextReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(t.Context())
 	// One job that would take far longer than the test timeout.
 	jobs := []Job{{Bench: "mcf", Config: config.TableI(), Seed: 1, Warmup: 0, Measure: 500_000_000}}
-	pool := New(Options{Parallelism: 1})
+	sched := NewScheduler(SchedulerOptions{Parallelism: 1})
 
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	res, err := pool.Run(ctx, jobs)
+	res, err := sched.RunBatch(ctx, Batch{Jobs: jobs})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancelled run took %v, want prompt return", elapsed)
 	}
@@ -180,13 +179,14 @@ func TestCancelledContextReturnsPromptly(t *testing.T) {
 func TestProgressObservesEveryJob(t *testing.T) {
 	jobs := testJobs()[:6]
 	var seen []int
-	pool := New(Options{Parallelism: 3, OnProgress: func(p Progress) {
+	sched := NewScheduler(SchedulerOptions{Parallelism: 3})
+	b := Batch{Jobs: jobs, OnProgress: func(p Progress) {
 		if p.Total != len(jobs) {
 			t.Errorf("Total = %d, want %d", p.Total, len(jobs))
 		}
 		seen = append(seen, p.Done)
-	}})
-	if _, err := pool.Run(t.Context(), jobs); err != nil {
+	}}
+	if _, err := sched.RunBatch(t.Context(), b); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != len(jobs) {
@@ -202,12 +202,12 @@ func TestProgressObservesEveryJob(t *testing.T) {
 // TestUnknownBenchmark: a bad job fails that job and surfaces the first
 // error while the rest still complete.
 func TestUnknownBenchmark(t *testing.T) {
-	pool := New(Options{Parallelism: 2})
+	sched := NewScheduler(SchedulerOptions{Parallelism: 2})
 	jobs := []Job{
 		{Bench: "nope", Config: config.TableI(), Seed: 1, Warmup: 100, Measure: 100},
 		{Bench: "mcf", Config: config.TableI(), Seed: 1, Warmup: 1_000, Measure: 2_000},
 	}
-	res, err := pool.Run(t.Context(), jobs)
+	res, err := sched.RunBatch(t.Context(), Batch{Jobs: jobs})
 	if err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
@@ -219,19 +219,20 @@ func TestUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// TestSimulateMatchesPool: the one-off Simulate helper and the pool agree.
+// TestSimulateMatchesPool: the one-off Simulate helper and the scheduler
+// agree.
 func TestSimulateMatchesPool(t *testing.T) {
 	j := Job{Bench: "hmmer", Config: config.TableI(), Seed: 7, Warmup: 5_000, Measure: 10_000}
 	direct, err := Simulate(t.Context(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(Options{Parallelism: 2}).Run(t.Context(), []Job{j})
+	res, err := NewScheduler(SchedulerOptions{Parallelism: 2}).RunBatch(t.Context(), Batch{Jobs: []Job{j}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if direct.IPC() != res[0].Stats.IPC() || direct.Cycles != res[0].Stats.Cycles {
-		t.Fatal("Simulate and Pool.Run disagree")
+		t.Fatal("Simulate and Scheduler.RunBatch disagree")
 	}
 }
 

@@ -34,33 +34,83 @@ type Batch struct {
 
 // BatchRunner runs a batch and returns one Result per job, in submission
 // order. It is the seam the figure runners program against: the in-process
-// Scheduler (and its Pool facade), the HTTP client in internal/serve and the
-// sharded dispatcher in internal/fabric all satisfy it, so a caller cannot
-// tell which side of the wire — or how many shards — it is on.
+// Scheduler and the HTTP client in internal/serve both satisfy it, so a caller
+// cannot tell which side of the wire it is on.
 type BatchRunner interface {
 	RunBatch(ctx context.Context, b Batch) ([]Result, error)
 }
 
-// Subset returns a batch holding the jobs at the given indices (in that
-// order), inheriting the batch-level policy but not the callbacks — a
-// dispatcher re-homing part of a batch (shard placement, replay on a
-// sibling) installs its own callbacks to map sub-indices back to the
-// original submission.
-func (b Batch) Subset(indices []int) Batch {
-	jobs := make([]Job, len(indices))
-	for i, idx := range indices {
-		jobs[i] = b.Jobs[idx]
-	}
-	return Batch{Jobs: jobs, Priority: b.Priority, Parallelism: b.Parallelism}
+var _ BatchRunner = (*Scheduler)(nil)
+
+// Progress describes one completed job. Callbacks observe every job exactly
+// once, including cache hits and failures, with Done increasing monotonically
+// to Total.
+type Progress struct {
+	Done     int
+	Total    int
+	Index    int // index of this job in the submitted batch
+	CacheHit bool
+	Job      Job
+	// Stats is the job's result (nil when Err is set) — the same snapshot
+	// the Result will carry. Callbacks must treat it as read-only.
+	Stats *metrics.Stats
+	Err   error
 }
+
+// PartialError reports a run that was cancelled before every job finished.
+// The results returned alongside it hold the jobs that did complete (their
+// results were flushed to the store as they were produced); jobs that never
+// ran (or were aborted mid-simulation) carry the cancellation error instead
+// of stats.
+type PartialError struct {
+	Done  int // jobs that completed successfully
+	Total int
+	// Finished lists the unique keys that resolved to stats — work that is
+	// safe to rely on (and present in the store, if one is mounted).
+	// Aborted lists the unique keys that did not: cancelled mid-run, never
+	// started, or failed. Both are in first-submission order.
+	Finished []Key
+	Aborted  []Key
+	Err      error // the cancellation cause
+}
+
+func (e *PartialError) Error() string {
+	return fmt.Sprintf("runner: cancelled after %d/%d jobs: %v", e.Done, e.Total, e.Err)
+}
+
+func (e *PartialError) Unwrap() error { return e.Err }
+
+// Summary renders the finished/aborted split compactly for logs.
+func (e *PartialError) Summary() string {
+	return fmt.Sprintf("%d finished, %d aborted", len(e.Finished), len(e.Aborted))
+}
+
+// JobFailure is the batch-level error of a run that completed but had at
+// least one job fail: the first failure in submission order, typed so a
+// caller can tell "this job deterministically fails" (not worth resubmitting)
+// from "the transport ate the batch". The scheduler and the HTTP client both
+// return it.
+type JobFailure struct {
+	Index int    // index of the failing job in the submitted batch
+	Bench string // the job's benchmark, for log lines
+	Err   error  // the job's own error
+}
+
+func (e *JobFailure) Error() string {
+	return fmt.Sprintf("runner: job %d (%s): %v", e.Index, e.Bench, e.Err)
+}
+
+func (e *JobFailure) Unwrap() error { return e.Err }
 
 // SchedulerOptions configures a Scheduler.
 type SchedulerOptions struct {
 	// Parallelism bounds concurrently executing jobs across all batches;
 	// <= 0 means NumCPU.
 	Parallelism int
-	// Store, when non-nil, backs the result plane: consulted before every
-	// execution, written after every successful one.
+	// Store, when non-nil, is consulted before every execution and written
+	// after every successful one. Sharing one Store across schedulers (or
+	// processes, with a persistent internal/store) turns repeated jobs into
+	// lookups. Nil means every job simulates.
 	Store Store
 	// Executor runs one job; nil means Simulate (the in-process pipeline).
 	Executor Executor
@@ -69,14 +119,14 @@ type SchedulerOptions struct {
 // Scheduler is the admission and dispatch layer: long-lived, shared by any
 // number of concurrent batch submissions. It coalesces equal-key jobs within
 // a batch, deduplicates them across in-flight batches (cross-request
-// single-flight), resolves store hits through the result plane without
-// touching the executor, and dispatches the rest to a bounded worker set in
-// (priority, submission) order. Workers are spawned on demand and exit when
-// the queue drains, so an idle scheduler owns no goroutines.
+// single-flight), resolves store hits without touching the executor, and
+// dispatches the rest to a bounded worker set in (priority, submission)
+// order. Workers are spawned on demand and exit when the queue drains, so an
+// idle scheduler owns no goroutines.
 type Scheduler struct {
-	par     int
-	exec    Executor
-	results *Results
+	par   int
+	exec  Executor
+	store Store // nil: never hits, counts nothing
 	// slicedOK records whether the executor is the in-process pipeline:
 	// sliced decomposition drives pipeline.Core checkpoints directly, so a
 	// custom Executor (a test stub, a remote hop) falls back to monolithic
@@ -112,14 +162,19 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	return &Scheduler{
 		par:      par,
 		exec:     exec,
-		results:  NewResults(opt.Store),
+		store:    opt.Store,
 		slicedOK: opt.Executor == nil,
 		inflight: make(map[Key]*flight),
 	}
 }
 
-// Results exposes the scheduler's result plane (for counters).
-func (s *Scheduler) Results() *Results { return s.results }
+// Counters reports the store's lookup statistics (zero without a store).
+func (s *Scheduler) Counters() Counters {
+	if s.store == nil {
+		return Counters{}
+	}
+	return s.store.Counters()
+}
 
 // Status is a point-in-time snapshot of the scheduler, for /metrics.
 type Status struct {
@@ -133,8 +188,7 @@ type Status struct {
 	// Batches and Jobs count admissions since the scheduler was created.
 	Batches uint64
 	Jobs    uint64
-	// Simulations counts executor runs — work the result plane did not
-	// absorb.
+	// Simulations counts executor runs — work the store did not absorb.
 	Simulations uint64
 	// SlicesRun counts slices that actually simulated; SlicesResumed counts
 	// slices answered from stored per-slice envelopes (work a restart or an
@@ -310,16 +364,18 @@ func (s *Scheduler) RunBatch(ctx context.Context, b Batch) ([]Result, error) {
 	s.jobs += uint64(len(b.Jobs))
 	s.mu.Unlock()
 
-	// Result plane first: groups already answered by the store never reach
-	// the queue, and misses become the admission backlog.
+	// Store first: groups already answered by it never reach the queue, and
+	// misses become the admission backlog.
 	var misses []*group
 	for _, g := range br.groups {
-		if st, ok := s.results.Lookup(g.key); ok {
-			s.mu.Lock()
-			g.state = stateDone
-			s.mu.Unlock()
-			s.finishGroup(br, g, st, true, nil)
-			continue
+		if s.store != nil {
+			if st, ok := s.store.Get(g.key); ok {
+				s.mu.Lock()
+				g.state = stateDone
+				s.mu.Unlock()
+				s.finishGroup(br, g, st, true, nil)
+				continue
+			}
 		}
 		misses = append(misses, g)
 	}
@@ -440,8 +496,8 @@ func (s *Scheduler) worker() {
 		} else {
 			st, err = s.runExec(br.ctx, j)
 		}
-		if err == nil {
-			s.results.Commit(g.key, st, time.Since(start))
+		if err == nil && s.store != nil {
+			s.store.Put(g.key, st, time.Since(start)) // best-effort by contract
 		}
 
 		s.mu.Lock()

@@ -55,7 +55,7 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 	cfg.Seed = j.Seed
 	cfgHash := cfg.SeedlessHash()
 	freshSrc := func() trace.Source { return workload.New(prof, j.Seed) }
-	ss, _ := s.results.Store().(SliceStore)
+	ss, _ := s.store.(SliceStore)
 
 	var merged metrics.Stats
 	var core *pipeline.Core

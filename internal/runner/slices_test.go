@@ -58,6 +58,32 @@ func TestSlicedMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// TestSlicedWithoutStore: a scheduler with no store still decomposes a sliced
+// job (one live core runs through every slice), merges it to the monolithic
+// bytes, and counts no store traffic.
+func TestSlicedWithoutStore(t *testing.T) {
+	job := Job{Bench: "mcf", Config: config.TableI(), Seed: 7, Warmup: 5_000, Measure: 20_000}
+	mono, err := Simulate(context.Background(), job)
+	if err != nil {
+		t.Fatalf("monolithic: %v", err)
+	}
+	job.Slices = 2
+	sched := NewScheduler(SchedulerOptions{Parallelism: 1})
+	res, err := sched.RunBatch(context.Background(), Batch{Jobs: []Job{job}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := statsBytes(t, res[0].Stats), statsBytes(t, mono); string(got) != string(want) {
+		t.Errorf("merged stats differ from monolithic\n got: %s\nwant: %s", got, want)
+	}
+	if st := sched.Status(); st.SlicesRun != 2 || st.SlicesResumed != 0 {
+		t.Errorf("SlicesRun=%d SlicesResumed=%d, want 2/0", st.SlicesRun, st.SlicesResumed)
+	}
+	if c := sched.Counters(); c != (Counters{}) {
+		t.Errorf("Counters() = %+v without a store, want zero", c)
+	}
+}
+
 // TestSlicedResumesFromStore: a second submission of the same sliced job
 // against the same store answers every slice from the stored deltas without
 // simulating again — the mechanism behind restart recovery.
@@ -76,7 +102,7 @@ func TestSlicedResumesFromStore(t *testing.T) {
 	}
 
 	// Same store, fresh scheduler, but drop the whole-job envelope so the
-	// result plane cannot answer and the sliced path must resolve it.
+	// store cannot answer the whole job and the sliced path must resolve it.
 	cache2 := NewCache()
 	for k, v := range cache.slices {
 		cache2.slices[k] = v

@@ -29,7 +29,7 @@ func (c Counters) Sub(o Counters) Counters {
 	return Counters{Hits: c.Hits - o.Hits, Misses: c.Misses - o.Misses, Stale: c.Stale - o.Stale}
 }
 
-// Store is a result store consulted by the Pool before simulating and
+// Store is a result store consulted by the Scheduler before simulating and
 // updated after. Implementations must be safe for concurrent use and must
 // hand out snapshots: a caller mutating a returned *metrics.Stats must never
 // affect a later Get.

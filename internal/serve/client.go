@@ -21,8 +21,8 @@ import (
 
 // NewTransport returns an http.Transport tuned for daemon traffic: explicit
 // dial, TLS and response-header timeouts so a dead or wedged daemon surfaces
-// as an error instead of a goroutine parked forever, and a connection pool
-// sized for a front-end fanning batches out across shards. There is no
+// as an error instead of a goroutine parked forever, and a pooled set of
+// keep-alive connections reused across batches. There is no
 // whole-request timeout on purpose — batch streams legitimately run for
 // hours; per-phase timeouts plus the caller's context bound everything else.
 func NewTransport() *http.Transport {
@@ -43,14 +43,14 @@ func NewTransport() *http.Transport {
 	}
 }
 
-// defaultHTTPClient is shared by every Client so the connection pool is: one
-// front-end talking to N shards reuses warm connections across batches
-// instead of redialing per client.
+// defaultHTTPClient is shared by every Client so the connection pool is:
+// clients of the same daemon reuse warm connections across batches instead
+// of redialing per client.
 var defaultHTTPClient = &http.Client{Transport: NewTransport()}
 
 // Client drives a remote rsepd daemon through the same interface the
 // in-process scheduler offers: it is a runner.BatchRunner, so experiment
-// code pointed at a Client instead of a Pool runs unchanged — including
+// code pointed at a Client instead of a Scheduler runs unchanged — including
 // progress callbacks, result ordering and cancellation semantics.
 type Client struct {
 	base *url.URL
@@ -70,9 +70,9 @@ func NewClient(baseURL string) (*Client, error) {
 	return NewClientWith(baseURL, nil)
 }
 
-// NewClientWith is NewClient with an explicit http.Client — the seam the
-// fault-injection harness and custom deployments (mTLS, proxies) use. A nil
-// hc means the shared default.
+// NewClientWith is NewClient with an explicit http.Client — the seam tests,
+// instrumentation and custom deployments (mTLS, proxies) use. A nil hc means
+// the shared default.
 func NewClientWith(baseURL string, hc *http.Client) (*Client, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
@@ -147,7 +147,7 @@ func (c *Client) RunBatch(ctx context.Context, b runner.Batch) ([]runner.Result,
 		var ev event
 		if err := json.Unmarshal(line, &ev); err != nil {
 			// Corruption mid-event: a proxy or a cut connection mangled the
-			// stream. Typed, so retry layers can classify it.
+			// stream. Typed, so callers can tell it from a refused batch.
 			return c.seal(ctx, b, results, &StreamError{Resolved: done, Err: fmt.Errorf("undecodable event: %w", err)})
 		}
 		switch ev.Event {
@@ -225,7 +225,7 @@ func (c *Client) RunBatch(ctx context.Context, b runner.Batch) ([]runner.Result,
 //     *runner.PartialError whose cause is the typed stream error: the remote
 //     run was effectively cancelled out from under us, finished jobs are real
 //     (their results are in the daemon's store) and only the aborted keys
-//     need replaying — which is exactly what the shard fabric does;
+//     need resubmitting;
 //   - otherwise (the daemon never answered: dial refusal, header timeout) →
 //     the plain transport error; unresolved jobs carry it, but the run is
 //     NOT a PartialError — nothing was admitted, there is nothing partial
@@ -233,37 +233,18 @@ func (c *Client) RunBatch(ctx context.Context, b runner.Batch) ([]runner.Result,
 func (c *Client) seal(ctx context.Context, b runner.Batch, results []runner.Result, err error) ([]runner.Result, error) {
 	if ctx.Err() != nil {
 		cause := context.Cause(ctx)
-		completed := 0
-		var finished, aborted []runner.Key
-		seen := make(map[runner.Key]bool)
 		for i := range results {
-			if results[i].Stats != nil {
-				completed++
-			} else if results[i].Err == nil {
+			if results[i].Stats == nil && results[i].Err == nil {
 				results[i].Err = cause
 			}
-			k := b.Jobs[i].Key()
-			if !seen[k] {
-				seen[k] = true
-				if results[i].Stats != nil {
-					finished = append(finished, k)
-				} else {
-					aborted = append(aborted, k)
-				}
-			}
 		}
+		pe := partial(b, results, cause)
 		// Mirror the local rule: a cancellation that landed after every job
 		// finished lost nothing.
-		if completed == len(results) {
+		if pe.Done == len(results) {
 			return results, nil
 		}
-		return results, &runner.PartialError{
-			Done:     completed,
-			Total:    len(results),
-			Finished: finished,
-			Aborted:  aborted,
-			Err:      cause,
-		}
+		return results, pe
 	}
 
 	resolved := 0
@@ -289,35 +270,36 @@ func (c *Client) seal(ctx context.Context, b runner.Batch, results []runner.Resu
 	var se *StreamError
 	if errors.As(err, &se) {
 		// The batch was admitted and then the stream died: report the
-		// finished/aborted split so callers replay exactly the remainder. A
-		// key counts as finished only if its stats actually arrived — a
-		// truncation can never demote finished work, nor promote unfinished.
-		completed := 0
-		var finished, aborted []runner.Key
-		seen := make(map[runner.Key]bool)
-		for i := range results {
-			if results[i].Stats != nil {
-				completed++
-			}
-			k := b.Jobs[i].Key()
-			if !seen[k] {
-				seen[k] = true
-				if results[i].Stats != nil {
-					finished = append(finished, k)
-				} else {
-					aborted = append(aborted, k)
-				}
-			}
-		}
-		return results, &runner.PartialError{
-			Done:     completed,
-			Total:    len(results),
-			Finished: finished,
-			Aborted:  aborted,
-			Err:      err,
-		}
+		// finished/aborted split so callers resubmit exactly the remainder.
+		return results, partial(b, results, err)
 	}
 	return results, err
+}
+
+// partial builds the *runner.PartialError of a cut-off batch: its unique keys
+// split, in first-submission order, into finished and aborted. A key counts as
+// finished only if its stats actually arrived — a cut can never demote
+// finished work, nor promote unfinished.
+func partial(b runner.Batch, results []runner.Result, cause error) *runner.PartialError {
+	pe := &runner.PartialError{Total: len(results), Err: cause}
+	seen := make(map[runner.Key]bool)
+	for i := range results {
+		ok := results[i].Stats != nil
+		if ok {
+			pe.Done++
+		}
+		k := b.Jobs[i].Key()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		if ok {
+			pe.Finished = append(pe.Finished, k)
+		} else {
+			pe.Aborted = append(pe.Aborted, k)
+		}
+	}
+	return pe
 }
 
 // Counters reports the summed store-counter deltas of every batch this

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,9 +11,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
-	"rsepsim/internal/fabric/faultinject"
 	"rsepsim/internal/runner"
 	"rsepsim/internal/store"
 )
@@ -62,13 +61,30 @@ func firstEventLen(t *testing.T, b runner.Batch) int {
 	return len(line)
 }
 
+// cutTransport cuts every /v1/batches response body after n bytes: the read
+// past the budget fails with io.ErrUnexpectedEOF, and Close still closes the
+// real body so the connection is torn down rather than leaked.
+type cutTransport struct {
+	base http.RoundTripper
+	n    int64
+}
+
+func (t cutTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := t.base.RoundTrip(r)
+	if err != nil || !strings.HasSuffix(r.URL.Path, "/v1/batches") {
+		return resp, err
+	}
+	cut := io.MultiReader(io.LimitReader(resp.Body, t.n), iotest.ErrReader(io.ErrUnexpectedEOF))
+	resp.Body = struct {
+		io.Reader
+		io.Closer
+	}{cut, resp.Body}
+	return resp, nil
+}
+
 func truncatedClient(t *testing.T, url string, after int64) *Client {
 	t.Helper()
-	cl, err := NewClientWith(url, &http.Client{Transport: &faultinject.Transport{
-		Base:   NewTransport(),
-		Match:  func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/v1/batches") },
-		Script: []faultinject.Fault{{TruncateAfter: after}},
-	}})
+	cl, err := NewClientWith(url, &http.Client{Transport: cutTransport{base: NewTransport(), n: after}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,38 +182,6 @@ func TestStreamCorruptionIsTyped(t *testing.T) {
 	}
 }
 
-// TestRetryableClassification: the typed retryable-vs-fatal split dispatch
-// layers replay on. Context causes and 4xx rejections are final; transport
-// loss, 5xx, 429 and stream cuts are worth a sibling.
-func TestRetryableClassification(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil", nil, false},
-		{"canceled", context.Canceled, false},
-		{"deadline", context.DeadlineExceeded, false},
-		{"wrapped canceled", fmt.Errorf("run: %w", context.Canceled), false},
-		{"api 400", &APIError{Status: http.StatusBadRequest}, false},
-		{"api 404", &APIError{Status: http.StatusNotFound}, false},
-		{"api 429", &APIError{Status: http.StatusTooManyRequests}, true},
-		{"api 500", &APIError{Status: http.StatusInternalServerError}, true},
-		{"api 503", &APIError{Status: http.StatusServiceUnavailable}, true},
-		{"api no status", &APIError{}, true},
-		{"wrapped api 400", fmt.Errorf("serve: %w", &APIError{Status: 400}), false},
-		{"transport", errors.New("connection reset"), true},
-		{"stream cut", &StreamError{Resolved: 3, Err: io.ErrUnexpectedEOF}, true},
-		{"partial over stream cut", &runner.PartialError{Err: &StreamError{Err: io.ErrUnexpectedEOF}}, true},
-		{"partial over cancel", &runner.PartialError{Err: context.Canceled}, false},
-	}
-	for _, tc := range cases {
-		if got := Retryable(tc.err); got != tc.want {
-			t.Errorf("%s: Retryable = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestStatusCarriesBuildInfo: /v1/status identifies the build and toolchain.
 func TestStatusCarriesBuildInfo(t *testing.T) {
 	cl, _, _ := newDaemon(t, nil)
@@ -210,56 +194,5 @@ func TestStatusCarriesBuildInfo(t *testing.T) {
 	}
 	if !strings.HasPrefix(st.Go, "go") {
 		t.Fatalf("status Go = %q, want a toolchain version", st.Go)
-	}
-	if st.Fabric != nil {
-		t.Fatal("single-node daemon reports a fabric")
-	}
-}
-
-// TestStatusAndMetricsCarryFabric: a front-end daemon surfaces the shard
-// table on /v1/status and the dispatcher counters on /metrics.
-func TestStatusAndMetricsCarryFabric(t *testing.T) {
-	fs := &FabricStatus{
-		Shards: []ShardStatus{
-			{URL: "http://a:1", State: "up", Jobs: 7},
-			{URL: "http://b:1", State: "down", Failures: 3, LastError: "refused"},
-		},
-		Retries: 2, Hedges: 1, Evictions: 1, Readmissions: 0, LocalFallbacks: 1,
-	}
-	sched := runner.NewScheduler(runner.SchedulerOptions{Parallelism: 1})
-	srv := NewServer(Options{Sched: sched, Fabric: func() *FabricStatus { return fs }})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	cl, err := NewClient(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := cl.Status(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Fabric == nil || len(st.Fabric.Shards) != 2 || st.Fabric.Shards[1].State != "down" {
-		t.Fatalf("status fabric table wrong: %+v", st.Fabric)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	for _, want := range []string{
-		"rsepd_fabric_shards 2",
-		"rsepd_fabric_shards_up 1",
-		"rsepd_fabric_retries_total 2",
-		"rsepd_fabric_hedges_total 1",
-		"rsepd_fabric_evictions_total 1",
-		"rsepd_fabric_readmissions_total 0",
-		"rsepd_fabric_local_fallbacks_total 1",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("metrics output missing %q", want)
-		}
 	}
 }

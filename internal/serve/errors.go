@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -64,8 +62,8 @@ func writeError(w http.ResponseWriter, status int, code, message string) {
 // (corruption) before the final "done" event arrived. Everything resolved
 // before the cut is real — those results were committed to the daemon's
 // store as they were produced — so the caller sees a *runner.PartialError
-// carrying a *StreamError as its cause, and a sharded front-end replays only
-// the unresolved jobs.
+// carrying a *StreamError as its cause, and only the unresolved jobs need
+// resubmitting.
 type StreamError struct {
 	// Resolved counts the jobs whose "result" event arrived before the cut.
 	Resolved int
@@ -79,41 +77,6 @@ func (e *StreamError) Error() string {
 }
 
 func (e *StreamError) Unwrap() error { return e.Err }
-
-// Retryable classifies an error from a daemon interaction for a caller that
-// can re-issue the work elsewhere (a sharded front-end, a retry loop): true
-// means the failure is plausibly the daemon's or the network's and a sibling
-// (or a later attempt) may succeed; false means retrying cannot help.
-//
-//   - context cancellation/deadline: not retryable — the caller gave up, the
-//     daemon did not fail.
-//   - *APIError: the daemon answered. 4xx means the request itself is bad
-//     (invalid spec, unknown id) and will be bad everywhere — fatal — except
-//     429, which is load shedding. 5xx is the daemon's problem: retryable.
-//   - *StreamError: the connection died mid-batch — retryable (finished jobs
-//     are already in the daemon's store; only the rest need replaying).
-//   - *runner.PartialError: the remote run was cut (daemon shutdown, stream
-//     loss) — the aborted remainder is retryable. Note the caller must check
-//     its own context first: a partial caused by the caller's cancellation is
-//     not an invitation to retry.
-//   - anything else (dial refusal, DNS, header timeout, EOF): transport —
-//     retryable.
-func Retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var ae *APIError
-	if errors.As(err, &ae) {
-		if ae.Status == http.StatusTooManyRequests {
-			return true
-		}
-		return ae.Status >= 500 || ae.Status == 0
-	}
-	return true
-}
 
 // decodeError turns a non-200 response into an *APIError. Responses that do
 // not carry the envelope (a proxy in the path, a pre-envelope daemon) degrade

@@ -1,4 +1,5 @@
-// Package serve exposes the runner's scheduler and result plane over HTTP.
+// Package serve exposes the runner's scheduler and its result store over
+// HTTP.
 //
 // The daemon (cmd/rsepd) mounts Server; remote callers use Client, which
 // satisfies runner.BatchRunner so the figure runners cannot tell which side
@@ -80,46 +81,6 @@ type StatusResponse struct {
 	CyclesSkipped uint64 `json:"cycles_skipped"`
 
 	Store runner.Counters `json:"store"`
-
-	// Fabric is present only on a front-end daemon (-shards): the live shard
-	// table and the dispatcher's retry/hedge/evict counters.
-	Fabric *FabricStatus `json:"fabric,omitempty"`
-}
-
-// ShardStatus is one row of a front-end's shard table: identity, health
-// state, and per-shard dispatch counters. The wire shape lives here (not in
-// internal/fabric) because it is part of the /v1/status API.
-type ShardStatus struct {
-	URL string `json:"url"`
-	// State is "up" or "down". A down shard receives no placements until a
-	// health probe readmits it.
-	State string `json:"state"`
-	// Failures counts consecutive probe/dispatch failures since the last
-	// success; it resets on readmission.
-	Failures int `json:"consecutive_failures,omitempty"`
-	// LastError is the failure that evicted the shard (empty when up).
-	LastError string `json:"last_error,omitempty"`
-	// Jobs and Dispatches count job placements and sub-batch submissions to
-	// this shard; DispatchFailures counts sub-batches that came back with a
-	// retryable error.
-	Jobs             uint64 `json:"jobs"`
-	Dispatches       uint64 `json:"dispatches"`
-	DispatchFailures uint64 `json:"dispatch_failures"`
-}
-
-// FabricStatus is the front-end dispatcher's health and counter snapshot.
-type FabricStatus struct {
-	Shards []ShardStatus `json:"shards"`
-	// Retries counts job replays on a sibling after a retryable failure;
-	// Hedges counts duplicate dispatches launched against straggler shards;
-	// Evictions/Readmissions count shard state transitions; LocalFallbacks
-	// counts batches (or batch remainders) degraded to local execution
-	// because every shard was down.
-	Retries        uint64 `json:"retries"`
-	Hedges         uint64 `json:"hedges"`
-	Evictions      uint64 `json:"evictions"`
-	Readmissions   uint64 `json:"readmissions"`
-	LocalFallbacks uint64 `json:"local_fallbacks"`
 }
 
 // partialInfo is the wire form of *runner.PartialError.

@@ -25,17 +25,13 @@ const maxBatchBody = 256 << 20
 // Options configures a Server.
 type Options struct {
 	// Sched is the scheduler every admitted batch runs on. Required (it also
-	// backs /v1/status and /metrics gauges even when Runner overrides the
+	// backs /v1/status and /metrics gauges even when Runner wraps the
 	// execution path).
 	Sched *runner.Scheduler
-	// Runner, when non-nil, overrides where admitted batches execute: the
-	// front-end daemon passes the shard fabric here, so the same HTTP surface
-	// dispatches across shards instead of into the local scheduler. Nil means
-	// Sched.
+	// Runner, when non-nil, is what admitted batches are submitted to instead
+	// of Sched — a wrapper around Sched (tracing, instrumentation) that must
+	// eventually run on it. Nil means Sched.
 	Runner runner.BatchRunner
-	// Fabric, when non-nil, reports the shard table and dispatcher counters
-	// for /v1/status and /metrics (front-end mode).
-	Fabric func() *FabricStatus
 	// Disk, when non-nil, backs GET /v1/results/{id}. Without it the
 	// endpoint answers 404 for everything (an in-memory-only daemon still
 	// serves batches).
@@ -44,7 +40,7 @@ type Options struct {
 	Log *log.Logger
 }
 
-// Server is the HTTP face of the scheduler + result plane.
+// Server is the HTTP face of the scheduler and its store.
 type Server struct {
 	opt  Options
 	mux  *http.ServeMux
@@ -200,16 +196,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if run == nil {
 		run = s.opt.Sched
 	}
-	// Store-counter deltas come from whichever side executed: the local
-	// result plane, or (front-end mode) the fabric's aggregated shard-client
-	// counters.
-	var count interface{ Counters() runner.Counters } = s.opt.Sched.Results()
-	if c, ok := run.(interface{ Counters() runner.Counters }); ok {
-		count = c
-	}
-	before := count.Counters()
+	before := s.opt.Sched.Counters()
 	_, runErr := run.RunBatch(ctx, b)
-	delta := count.Counters().Sub(before)
+	delta := s.opt.Sched.Counters().Sub(before)
 
 	final := event{Event: "done", Counters: &delta}
 	var pe *runner.PartialError
@@ -292,10 +281,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		SlicesRun:     st.SlicesRun,
 		SlicesResumed: st.SlicesResumed,
 		CyclesSkipped: st.CyclesSkipped,
-		Store:         s.opt.Sched.Results().Counters(),
-	}
-	if s.opt.Fabric != nil {
-		resp.Fabric = s.opt.Fabric()
+		Store:         s.opt.Sched.Counters(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-store")
@@ -317,7 +303,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // half dozen series here do not justify a client library dependency.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.opt.Sched.Status()
-	c := s.opt.Sched.Results().Counters()
+	c := s.opt.Sched.Counters()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	type metric struct {
 		name, help, typ string
@@ -336,27 +322,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"rsepd_slices_run_total", "Slices of sliced jobs that simulated.", "counter", st.SlicesRun},
 		{"rsepd_slices_resumed_total", "Slices answered from stored per-slice results.", "counter", st.SlicesResumed},
 		{"rsepd_sim_cycles_skipped_total", "Simulated cycles fast-forwarded over by quiescent cores.", "counter", st.CyclesSkipped},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, m.typ, m.name, m.value)
-	}
-	if s.opt.Fabric == nil {
-		return
-	}
-	fs := s.opt.Fabric()
-	up := 0
-	for _, sh := range fs.Shards {
-		if sh.State == "up" {
-			up++
-		}
-	}
-	for _, m := range []metric{
-		{"rsepd_fabric_shards", "Shards configured on this front-end.", "gauge", uint64(len(fs.Shards))},
-		{"rsepd_fabric_shards_up", "Shards currently accepting placements.", "gauge", uint64(up)},
-		{"rsepd_fabric_retries_total", "Jobs replayed on a sibling shard after a retryable failure.", "counter", fs.Retries},
-		{"rsepd_fabric_hedges_total", "Duplicate dispatches launched against straggler shards.", "counter", fs.Hedges},
-		{"rsepd_fabric_evictions_total", "Shards evicted from the placement set.", "counter", fs.Evictions},
-		{"rsepd_fabric_readmissions_total", "Shards readmitted after a successful health probe.", "counter", fs.Readmissions},
-		{"rsepd_fabric_local_fallbacks_total", "Batch remainders degraded to local execution.", "counter", fs.LocalFallbacks},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, m.typ, m.name, m.value)
 	}

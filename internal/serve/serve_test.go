@@ -71,7 +71,7 @@ func encodeResults(t *testing.T, res []runner.Result) []byte {
 }
 
 // TestRemoteMatchesLocal: the same batch through the HTTP client and through
-// an in-process pool yields byte-identical stats — the layering proof.
+// an in-process scheduler yields byte-identical stats — the layering proof.
 func TestRemoteMatchesLocal(t *testing.T) {
 	cl, _, _ := newDaemon(t, nil)
 	b := testBatch()
@@ -80,7 +80,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := runner.New(runner.Options{Parallelism: 2}).Run(t.Context(), b.Jobs)
+	local, err := runner.NewScheduler(runner.SchedulerOptions{Parallelism: 2}).RunBatch(t.Context(), runner.Batch{Jobs: b.Jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestBatchValidationRejected(t *testing.T) {
 }
 
 // TestPerJobErrorPropagates: a failing job inside an otherwise healthy batch
-// surfaces exactly like the local pool's first-failure error, with the other
+// surfaces exactly like the local scheduler's first-failure error, with the other
 // results intact. The bad job must be injected past spec validation, so a
 // stub executor fails one key.
 func TestPerJobErrorPropagates(t *testing.T) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -137,8 +138,8 @@ func TestSliceEventsStream(t *testing.T) {
 	}
 
 	// "Kill" the daemon (drop it), delete the whole-job envelope so the
-	// result plane cannot shortcut, and restart over the same directory: the
-	// resubmitted batch must resume every slice from the store.
+	// whole-job lookup cannot shortcut, and restart over the same directory:
+	// the resubmitted batch must resume every slice from the store.
 	id := store.ID(job.Key())
 	entry := filepath.Join(dir, "v1", id[:2], id+".json")
 	if _, err := os.Stat(entry); err != nil {
@@ -181,5 +182,61 @@ func TestSliceEventsStream(t *testing.T) {
 	b := encodeResults(t, res2)
 	if string(a) != string(b) {
 		t.Fatal("resumed stats differ from cold run")
+	}
+}
+
+// TestSharedStoreSiblingsAgree: two daemons, each with its own scheduler and
+// store handle, over one store directory. Whatever one simulated the other
+// answers without simulating — whole jobs as byte-identical hits, and a
+// longer sliced run resumes every slice the first daemon finished.
+func TestSharedStoreSiblingsAgree(t *testing.T) {
+	dir := t.TempDir()
+	clA, _ := newDaemonOn(t, dir)
+	clB, _ := newDaemonOn(t, dir)
+
+	sliced := runner.Job{Bench: "mcf", Config: config.TableI(), Seed: 5,
+		Warmup: 2_000, Measure: 8_000, Slices: 2}
+	b := testBatch()
+	b.Jobs = append(b.Jobs, sliced)
+
+	resA, err := clA.RunBatch(t.Context(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stA, err := clA.Status(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stA.Simulations != uint64(len(b.Jobs)) || stA.SlicesRun != 2 {
+		t.Fatalf("cold daemon: %d simulations, %d slices run; want %d/2", stA.Simulations, stA.SlicesRun, len(b.Jobs))
+	}
+
+	resB, err := clB.RunBatch(t.Context(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stB, err := clB.Status(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stB.Simulations != 0 || stB.Store.Hits != uint64(len(b.Jobs)) {
+		t.Fatalf("sibling: %d simulations, %d hits; want 0/%d", stB.Simulations, stB.Store.Hits, len(b.Jobs))
+	}
+	if !bytes.Equal(encodeResults(t, resA), encodeResults(t, resB)) {
+		t.Fatal("sibling stats differ from the daemon that simulated them")
+	}
+
+	// Twice the measurement at the same slice width: the first half is the
+	// slices daemon A already stored.
+	ext := sliced
+	ext.Measure, ext.Slices = 2*sliced.Measure, 2*sliced.Slices
+	if _, err := clB.RunBatch(t.Context(), runner.Batch{Jobs: []runner.Job{ext}}); err != nil {
+		t.Fatal(err)
+	}
+	if stB, err = clB.Status(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	if stB.SlicesResumed != stA.SlicesRun {
+		t.Fatalf("extension on the sibling resumed %d slices, want %d", stB.SlicesResumed, stA.SlicesRun)
 	}
 }

@@ -432,8 +432,8 @@ func TestTieredIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	t1 := NewTiered(d1, false)
-	pool1 := runner.New(runner.Options{Parallelism: 4, Store: t1})
-	res1, err := pool1.Run(t.Context(), jobs)
+	sched1 := runner.NewScheduler(runner.SchedulerOptions{Parallelism: 4, Store: t1})
+	res1, err := sched1.RunBatch(t.Context(), runner.Batch{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,8 +447,8 @@ func TestTieredIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	t2 := NewTiered(d2, false)
-	pool2 := runner.New(runner.Options{Parallelism: 4, Store: t2})
-	res2, err := pool2.Run(t.Context(), jobs)
+	sched2 := runner.NewScheduler(runner.SchedulerOptions{Parallelism: 4, Store: t2})
+	res2, err := sched2.RunBatch(t.Context(), runner.Batch{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
