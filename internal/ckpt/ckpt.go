@@ -1,15 +1,22 @@
 // Package ckpt implements the binary checkpoint container used to serialize
 // simulator state: a small magic/version/architecture header, a stream of
-// primitive values and raw POD-slice sections, and a trailing CRC-64 over
-// everything in between.
+// primitive values and zero-run encoded POD sections, and a trailing CRC-64
+// over everything in between.
 //
 // The format is deliberately *not* an interchange format. Slices of plain-old
 // -data structs are dumped with their in-memory layout (native endianness,
 // native word size, native field padding), so a checkpoint is only guaranteed
 // to restore under a binary built for the same architecture — the header's
 // architecture probe refuses anything else. What the format buys in exchange
-// is that saving or restoring a multi-megabyte predictor table is one
-// contiguous copy instead of a per-field walk.
+// is that saving or restoring a multi-megabyte predictor table is a scan for
+// zero words plus a few contiguous copies instead of a per-field walk.
+//
+// A POD section's bytes are written as 8-byte words in runs: a header of two
+// u32 counts (zero words, then literal words) followed by the literal words
+// themselves, then the raw tail of fewer than 8 bytes. Cold cache arrays and
+// predictor tables are mostly zero, so most of a core's state never reaches
+// the stream. A literal run ends only at two or more consecutive zero words,
+// which bounds an encoded section at its raw size plus one run header.
 //
 // Both Writer and Reader latch the first error: after a failure every
 // subsequent call is a cheap no-op (reads return zero values), so component
@@ -20,6 +27,7 @@ package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,8 +47,9 @@ import (
 // Version history: 2 — metrics.Stats gained SkippedCycles and the pipeline's
 // dyn/hotState records moved renameReady between them. 3 — the RSEP FIFO
 // history ring shrank to 8-byte entries (implied CSNs, delta chain links)
-// and stopped serializing its derivable bucket heads.
-const FormatVersion uint32 = 3
+// and stopped serializing its derivable bucket heads. 4 — POD slices
+// zero-run encoded (raw structs too).
+const FormatVersion uint32 = 4
 
 const magic = "RSEPCKPT"
 
@@ -55,31 +64,81 @@ const wordProbe = uint64(unsafe.Sizeof(int(0)))
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
+// crcAcc accumulates the CRC-64 of a stream. crc64.Update has a fixed cost
+// per call (a 2 KiB table comparison, then byte-at-a-time work below 64
+// bytes), so scalars, run headers and short literal runs are gathered in
+// pend and checksummed together; long runs go straight through.
+type crcAcc struct {
+	crc  uint64
+	n    int
+	pend [1 << 10]byte
+}
+
+func (c *crcAcc) add(b []byte) {
+	if len(b) <= len(c.pend)-c.n {
+		c.n += copy(c.pend[c.n:], b)
+		return
+	}
+	c.flush()
+	if len(b) < len(c.pend) {
+		c.n = copy(c.pend[:], b)
+		return
+	}
+	c.crc = crc64.Update(c.crc, crcTable, b)
+}
+
+func (c *crcAcc) flush() {
+	c.crc = crc64.Update(c.crc, crcTable, c.pend[:c.n])
+	c.n = 0
+}
+
+// sum returns the CRC-64 of everything added so far.
+func (c *crcAcc) sum() uint64 {
+	c.flush()
+	return c.crc
+}
+
 // ErrChecksum is returned (wrapped) by Reader.Close when the trailing CRC
 // does not match the bytes read.
 var ErrChecksum = errors.New("ckpt: checksum mismatch")
 
-// maxSliceElems bounds any single serialized slice, so a corrupt length field
-// fails cleanly instead of attempting a giant allocation.
-const maxSliceElems = 1 << 31
+// ErrVersion is returned (wrapped) by NewReader for a stream written under a
+// different FormatVersion.
+var ErrVersion = errors.New("ckpt: unsupported format version")
+
+// ErrRun is returned (wrapped) when a POD section's run header is empty or
+// reaches past the end of its destination.
+var ErrRun = errors.New("ckpt: malformed zero run")
+
+// maxAlloc bounds the bytes behind any single length prefix the Reader
+// allocates for (ReadSlice, Str), so a corrupt length field fails cleanly
+// instead of attempting a giant allocation. Geometry-sized tables are read
+// in place by ReadSliceFixed and are not subject to it.
+const maxAlloc = 64 << 20
 
 // Writer serializes a checkpoint stream.
 type Writer struct {
-	bw  *bufio.Writer
-	crc uint64
-	err error
+	bw      *bufio.Writer
+	crc     crcAcc
+	err     error
+	scratch [8]byte // fixed-width values, so writing them never allocates
 }
 
 // NewWriter starts a checkpoint stream on w, emitting the header.
 func NewWriter(w io.Writer) *Writer {
 	cw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
-	cw.writeRaw([]byte(magic))
+	cw.writeRaw(strBytes(magic))
 	cw.U32(FormatVersion)
-	var probe [8]byte
-	*(*uint64)(unsafe.Pointer(&probe[0])) = archProbe
-	cw.writeRaw(probe[:])
+	*(*uint64)(unsafe.Pointer(&cw.scratch[0])) = archProbe
+	cw.writeRaw(cw.scratch[:])
 	cw.U64(wordProbe)
 	return cw
+}
+
+// strBytes views s as bytes without copying. Only for passing to writers,
+// which must not modify the slice.
+func strBytes(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
 // Err returns the first error encountered.
@@ -99,21 +158,19 @@ func (w *Writer) writeRaw(b []byte) {
 		w.fail(err)
 		return
 	}
-	w.crc = crc64.Update(w.crc, crcTable, b)
+	w.crc.add(b)
 }
 
 // U64 writes a fixed-width unsigned value.
 func (w *Writer) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.writeRaw(b[:])
+	binary.LittleEndian.PutUint64(w.scratch[:], v)
+	w.writeRaw(w.scratch[:8])
 }
 
 // U32 writes a fixed-width unsigned value.
 func (w *Writer) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.writeRaw(b[:])
+	binary.LittleEndian.PutUint32(w.scratch[:], v)
+	w.writeRaw(w.scratch[:4])
 }
 
 // I64 writes a signed value.
@@ -124,11 +181,11 @@ func (w *Writer) Int(v int) { w.U64(uint64(int64(v))) }
 
 // Bool writes a boolean.
 func (w *Writer) Bool(v bool) {
-	var b [1]byte
+	w.scratch[0] = 0
 	if v {
-		b[0] = 1
+		w.scratch[0] = 1
 	}
-	w.writeRaw(b[:])
+	w.writeRaw(w.scratch[:1])
 }
 
 // F64 writes a float64 bit pattern.
@@ -137,7 +194,7 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 // Str writes a length-prefixed string.
 func (w *Writer) Str(s string) {
 	w.U64(uint64(len(s)))
-	w.writeRaw([]byte(s))
+	w.writeRaw(strBytes(s))
 }
 
 // Mark writes a section tag. Reader.Expect with the same tag detects format
@@ -149,9 +206,8 @@ func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], w.crc)
-	if _, err := w.bw.Write(b[:]); err != nil {
+	binary.LittleEndian.PutUint64(w.scratch[:], w.crc.sum())
+	if _, err := w.bw.Write(w.scratch[:]); err != nil {
 		w.fail(err)
 		return w.err
 	}
@@ -163,26 +219,26 @@ func (w *Writer) Close() error {
 
 // Reader deserializes a checkpoint stream.
 type Reader struct {
-	br  *bufio.Reader
-	crc uint64
-	err error
+	br      *bufio.Reader
+	crc     crcAcc
+	err     error
+	scratch [8]byte // fixed-width values, so reading them never allocates
 }
 
 // NewReader opens a checkpoint stream, validating the header. A version or
 // architecture mismatch is an immediate error.
 func NewReader(r io.Reader) (*Reader, error) {
 	cr := &Reader{br: bufio.NewReaderSize(r, 1<<16)}
-	head := make([]byte, len(magic))
+	head := cr.scratch[:len(magic)]
 	cr.readRaw(head)
 	if cr.err == nil && string(head) != magic {
 		return nil, fmt.Errorf("ckpt: bad magic %q", head)
 	}
 	if v := cr.U32(); cr.err == nil && v != FormatVersion {
-		return nil, fmt.Errorf("ckpt: format version %d, want %d", v, FormatVersion)
+		return nil, fmt.Errorf("%w %d, want %d", ErrVersion, v, FormatVersion)
 	}
-	var probe [8]byte
-	cr.readRaw(probe[:])
-	if cr.err == nil && *(*uint64)(unsafe.Pointer(&probe[0])) != archProbe {
+	cr.readRaw(cr.scratch[:])
+	if cr.err == nil && *(*uint64)(unsafe.Pointer(&cr.scratch[0])) != archProbe {
 		return nil, errors.New("ckpt: checkpoint written on an incompatible architecture")
 	}
 	if wp := cr.U64(); cr.err == nil && wp != wordProbe {
@@ -205,33 +261,27 @@ func (r *Reader) fail(err error) {
 
 func (r *Reader) readRaw(b []byte) {
 	if r.err != nil {
-		for i := range b {
-			b[i] = 0
-		}
+		clear(b)
 		return
 	}
 	if _, err := io.ReadFull(r.br, b); err != nil {
 		r.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
-		for i := range b {
-			b[i] = 0
-		}
+		clear(b)
 		return
 	}
-	r.crc = crc64.Update(r.crc, crcTable, b)
+	r.crc.add(b)
 }
 
 // U64 reads a fixed-width unsigned value.
 func (r *Reader) U64() uint64 {
-	var b [8]byte
-	r.readRaw(b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	r.readRaw(r.scratch[:8])
+	return binary.LittleEndian.Uint64(r.scratch[:])
 }
 
 // U32 reads a fixed-width unsigned value.
 func (r *Reader) U32() uint32 {
-	var b [4]byte
-	r.readRaw(b[:])
-	return binary.LittleEndian.Uint32(b[:])
+	r.readRaw(r.scratch[:4])
+	return binary.LittleEndian.Uint32(r.scratch[:])
 }
 
 // I64 reads a signed value.
@@ -242,9 +292,8 @@ func (r *Reader) Int() int { return int(int64(r.U64())) }
 
 // Bool reads a boolean.
 func (r *Reader) Bool() bool {
-	var b [1]byte
-	r.readRaw(b[:])
-	return b[0] != 0
+	r.readRaw(r.scratch[:1])
+	return r.scratch[0] != 0
 }
 
 // F64 reads a float64 bit pattern.
@@ -253,19 +302,37 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string {
 	n := r.U64()
-	if n > maxSliceElems {
+	if n > maxAlloc {
 		r.fail(fmt.Errorf("ckpt: implausible string length %d", n))
+		return ""
+	}
+	if n == 0 {
 		return ""
 	}
 	b := make([]byte, n)
 	r.readRaw(b)
-	return string(b)
+	return unsafe.String(&b[0], len(b))
 }
 
-// Expect consumes a section tag and fails unless it matches.
+// Expect consumes a section tag and fails unless it matches. The stored tag
+// is compared through the scratch array, never allocated: a damaged length
+// fails here instead of sizing a buffer.
 func (r *Reader) Expect(tag string) {
-	if got := r.Str(); r.err == nil && got != tag {
-		r.fail(fmt.Errorf("ckpt: section %q, want %q", got, tag))
+	n := r.U64()
+	if r.err != nil {
+		return
+	}
+	if n != uint64(len(tag)) {
+		r.fail(fmt.Errorf("ckpt: section tag of %d bytes, want %q", n, tag))
+		return
+	}
+	for rest := tag; rest != "" && r.err == nil; {
+		got := r.scratch[:min(len(rest), len(r.scratch))]
+		r.readRaw(got)
+		if r.err == nil && string(got) != rest[:len(got)] {
+			r.fail(fmt.Errorf("ckpt: section tag differs from %q", tag))
+		}
+		rest = rest[len(got):]
 	}
 }
 
@@ -275,12 +342,11 @@ func (r *Reader) Close() error {
 	if r.err != nil {
 		return r.err
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(r.br, b[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.scratch[:]); err != nil {
 		r.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
 		return r.err
 	}
-	if binary.LittleEndian.Uint64(b[:]) != r.crc {
+	if binary.LittleEndian.Uint64(r.scratch[:]) != r.crc.sum() {
 		r.fail(ErrChecksum)
 	}
 	return r.err
@@ -291,10 +357,12 @@ var podCache sync.Map // reflect.Type -> bool
 
 // assertPOD panics if T contains pointers, slices, maps, strings or other
 // reference kinds — raw-dumping such a type would serialize addresses. The
-// check runs once per type.
+// check runs once per type; later calls are one map lookup. The type comes
+// from a *T, not a T: boxing a zero T (as reflect.TypeOf(zero) and, before
+// Go 1.25, reflect.TypeFor do) copies the whole value to the heap, 96 KiB for
+// the branch predictor's BTB.
 func assertPOD[T any]() {
-	var zero T
-	t := reflect.TypeOf(zero)
+	t := reflect.TypeOf((*T)(nil)).Elem()
 	if ok, seen := podCache.Load(t); seen {
 		if !ok.(bool) {
 			panic(fmt.Sprintf("ckpt: type %v is not plain old data", t))
@@ -337,11 +405,82 @@ func rawBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(zero)))
 }
 
-// Slice writes a length-prefixed raw dump of a POD slice.
+// word returns the i-th 8-byte word of b. Zero tests are byte-order blind;
+// the load is unaligned-safe because POD slices of small types (uint16,
+// [3]byte) need not sit on an 8-byte boundary.
+func word(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i*8:]) }
+
+// zeroBlock lets zero runs be skipped a block at a time: cold tables are
+// long stretches of zero words.
+var zeroBlock [256]byte
+
+// writePOD writes b's words as zero runs, each literal run straight from b,
+// then b's raw tail of fewer than 8 bytes.
+func (w *Writer) writePOD(b []byte) {
+	const block = len(zeroBlock) / 8
+	words := len(b) / 8
+	if uint64(words) > math.MaxUint32 {
+		w.fail(fmt.Errorf("ckpt: POD section of %d bytes exceeds the run counts", len(b)))
+		return
+	}
+	for i := 0; i < words; {
+		lit := i
+		for lit+block <= words && bytes.Equal(b[lit*8:(lit+block)*8], zeroBlock[:]) {
+			lit += block
+		}
+		for lit < words && word(b, lit) == 0 {
+			lit++
+		}
+		// An isolated zero word stays inside the literal run: splitting there
+		// would spend an 8-byte header to save 8 bytes.
+		end := lit
+		for end < words {
+			if word(b, end) != 0 {
+				end++
+			} else if end+1 < words && word(b, end+1) != 0 {
+				end += 2
+			} else {
+				break
+			}
+		}
+		binary.LittleEndian.PutUint32(w.scratch[:4], uint32(lit-i))
+		binary.LittleEndian.PutUint32(w.scratch[4:], uint32(end-lit))
+		w.writeRaw(w.scratch[:])
+		w.writeRaw(b[lit*8 : end*8])
+		i = end
+	}
+	w.writeRaw(b[words*8:])
+}
+
+// readPOD fills b from a section written by writePOD. b must be zero on
+// entry: zero runs are skipped, not written. A run that is empty or reaches
+// past b fails with ErrRun before anything is written for it.
+func (r *Reader) readPOD(b []byte) {
+	words := uint64(len(b) / 8)
+	for pos := uint64(0); pos < words && r.err == nil; {
+		r.readRaw(r.scratch[:])
+		if r.err != nil {
+			return
+		}
+		zeros := uint64(binary.LittleEndian.Uint32(r.scratch[:4]))
+		lits := uint64(binary.LittleEndian.Uint32(r.scratch[4:]))
+		if zeros+lits == 0 || zeros+lits > words-pos {
+			r.fail(fmt.Errorf("%w: %d zero and %d literal words at word %d of %d",
+				ErrRun, zeros, lits, pos, words))
+			return
+		}
+		pos += zeros
+		r.readRaw(b[pos*8 : (pos+lits)*8])
+		pos += lits
+	}
+	r.readRaw(b[words*8:])
+}
+
+// Slice writes a length-prefixed, zero-run encoded dump of a POD slice.
 func Slice[T any](w *Writer, s []T) {
 	assertPOD[T]()
 	w.U64(uint64(len(s)))
-	w.writeRaw(rawBytes(s))
+	w.writePOD(rawBytes(s))
 }
 
 // ReadSlice reads a slice written by Slice, reusing s's backing array when it
@@ -349,16 +488,17 @@ func Slice[T any](w *Writer, s []T) {
 func ReadSlice[T any](r *Reader, s []T) []T {
 	assertPOD[T]()
 	n := r.U64()
-	if n > maxSliceElems {
+	if n > maxAlloc/max(uint64(unsafe.Sizeof(*new(T))), 1) {
 		r.fail(fmt.Errorf("ckpt: implausible slice length %d", n))
 		return s[:0]
 	}
 	if uint64(cap(s)) >= n {
 		s = s[:n]
+		clear(s)
 	} else {
 		s = make([]T, n)
 	}
-	r.readRaw(rawBytes(s))
+	r.readPOD(rawBytes(s))
 	return s
 }
 
@@ -371,17 +511,20 @@ func ReadSliceFixed[T any](r *Reader, s []T) {
 		r.fail(fmt.Errorf("ckpt: slice length %d, want %d (geometry mismatch)", n, len(s)))
 		return
 	}
-	r.readRaw(rawBytes(s))
+	clear(s)
+	r.readPOD(rawBytes(s))
 }
 
-// Struct writes one POD struct raw.
+// Struct writes one POD struct, zero-run encoded like a slice section.
 func Struct[T any](w *Writer, v *T) {
 	assertPOD[T]()
-	w.writeRaw(unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v)))
+	w.writePOD(unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v)))
 }
 
 // ReadStruct reads a struct written by Struct.
 func ReadStruct[T any](r *Reader, v *T) {
 	assertPOD[T]()
-	r.readRaw(unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v)))
+	b := unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v))
+	clear(b)
+	r.readPOD(b)
 }

@@ -1,0 +1,437 @@
+package ckpt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// headerLen is the byte length of the stream header: magic, version, the
+// byte-order probe and the word-size probe.
+const headerLen = len(magic) + 4 + 8 + 8
+
+// encodeSlice writes one Slice section into a complete stream.
+func encodeSlice[T any](t *testing.T, s []T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	Slice(w, s)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// roundTripSlice checks every reader of a Slice section against s: ReadSlice
+// into a fresh and into a dirty reused backing array, and ReadSliceFixed into
+// a dirty destination whose backing array extends past it. It returns the
+// section's encoded length (length prefix included).
+func roundTripSlice[T comparable](t *testing.T, s []T, dirty T) int {
+	t.Helper()
+	blob := encodeSlice(t, s)
+	read := func(f func(r *Reader)) {
+		t.Helper()
+		r, err := NewReader(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(r)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	read(func(r *Reader) {
+		if got := ReadSlice(r, []T(nil)); !slices.Equal(got, s) {
+			t.Errorf("ReadSlice into nil = %v, want %v", got, s)
+		}
+	})
+
+	reused := make([]T, len(s)+3)
+	for i := range reused {
+		reused[i] = dirty
+	}
+	read(func(r *Reader) {
+		if got := ReadSlice(r, reused); !slices.Equal(got, s) {
+			t.Errorf("ReadSlice into a dirty buffer = %v, want %v", got, s)
+		}
+	})
+
+	backing := make([]T, len(s)+2)
+	for i := range backing {
+		backing[i] = dirty
+	}
+	read(func(r *Reader) {
+		ReadSliceFixed(r, backing[:len(s)])
+	})
+	if !slices.Equal(backing[:len(s)], s) {
+		t.Errorf("ReadSliceFixed = %v, want %v", backing[:len(s)], s)
+	}
+	for i, v := range backing[len(s):] {
+		if v != dirty {
+			t.Errorf("ReadSliceFixed wrote past its destination at %d", len(s)+i)
+		}
+	}
+	return len(blob) - headerLen - 8
+}
+
+func TestSliceRoundTrip(t *testing.T) {
+	cases := []struct {
+		name string
+		// run round-trips the case and returns its encoded section length.
+		run  func(t *testing.T) int
+		want int // length prefix + run headers + literal words + tail
+	}{
+		{"empty", func(t *testing.T) int {
+			return roundTripSlice(t, []uint64{}, 9)
+		}, 8},
+		{"all-zero", func(t *testing.T) int {
+			return roundTripSlice(t, make([]uint64, 64), 9)
+		}, 8 + 8},
+		{"all-nonzero", func(t *testing.T) int {
+			return roundTripSlice(t, []uint64{1, 2, 3, 4}, 9)
+		}, 8 + 8 + 4*8},
+		{"isolated-zero-word", func(t *testing.T) int {
+			return roundTripSlice(t, []uint64{1, 0, 2, 0, 3}, 9)
+		}, 8 + 8 + 5*8},
+		{"zero-pair-splits", func(t *testing.T) int {
+			return roundTripSlice(t, []uint64{1, 0, 0, 2}, 9)
+		}, 8 + (8 + 8) + (8 + 8)},
+		{"trailing-nonzero", func(t *testing.T) int {
+			return roundTripSlice(t, []uint64{0, 0, 0, 5}, 9)
+		}, 8 + 8 + 8},
+		{"trailing-zero", func(t *testing.T) int {
+			return roundTripSlice(t, []uint64{5, 0}, 9)
+		}, 8 + (8 + 8) + 8},
+		{"uint16-word-plus-tail", func(t *testing.T) int {
+			return roundTripSlice(t, []uint16{1, 2, 3, 4, 5, 6, 7}, 9)
+		}, 8 + 8 + 8 + 6},
+		{"uint16-tail-only", func(t *testing.T) int {
+			return roundTripSlice(t, []uint16{0, 7, 0}, 9)
+		}, 8 + 6},
+		{"uint16-zero-word-nonzero-tail", func(t *testing.T) int {
+			return roundTripSlice(t, []uint16{0, 0, 0, 0, 0, 1}, 9)
+		}, 8 + 8 + 4},
+		{"byte3", func(t *testing.T) int {
+			return roundTripSlice(t, [][3]byte{{1, 2, 3}, {}, {}, {}, {}, {0, 0, 9}}, [3]byte{7, 7, 7})
+		}, 8 + (8 + 8) + 8 + 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.run(t); got != tc.want {
+				t.Errorf("encoded section is %d bytes, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+type podStruct struct {
+	A uint64
+	B [5]uint16
+	C bool
+	D [40]int32
+	E float64
+}
+
+func TestStructAndPrimitivesRoundTrip(t *testing.T) {
+	want := podStruct{A: 1, B: [5]uint16{0, 2}, C: true, E: 2.5}
+	want.D[39] = -4
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Mark("sec")
+	w.U64(1 << 60)
+	w.U32(7)
+	w.Bool(true)
+	w.I64(-3)
+	w.Int(-9)
+	w.F64(0.25)
+	w.Str("")
+	w.Str("hello")
+	Struct(w, &want)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Expect("sec")
+	if v := r.U64(); v != 1<<60 {
+		t.Errorf("U64 = %d", v)
+	}
+	if v := r.U32(); v != 7 {
+		t.Errorf("U32 = %d", v)
+	}
+	if !r.Bool() {
+		t.Error("Bool = false")
+	}
+	if v := r.I64(); v != -3 {
+		t.Errorf("I64 = %d", v)
+	}
+	if v := r.Int(); v != -9 {
+		t.Errorf("Int = %d", v)
+	}
+	if v := r.F64(); v != 0.25 {
+		t.Errorf("F64 = %v", v)
+	}
+	if s := r.Str(); s != "" {
+		t.Errorf("Str = %q, want empty", s)
+	}
+	if s := r.Str(); s != "hello" {
+		t.Errorf("Str = %q", s)
+	}
+	got := podStruct{A: 99, C: false, E: 1}
+	got.D[0] = 5
+	ReadStruct(r, &got)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("ReadStruct = %+v, want %+v", got, want)
+	}
+}
+
+func TestReadSliceFixedLengthMismatch(t *testing.T) {
+	blob := encodeSlice(t, []uint64{1, 2, 3})
+	r, err := NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := []uint64{7, 7}
+	ReadSliceFixed(r, dst)
+	if r.Err() == nil {
+		t.Fatal("ReadSliceFixed accepted a 3-element section into 2 elements")
+	}
+	if dst[0] != 7 || dst[1] != 7 {
+		t.Errorf("refused ReadSliceFixed modified its destination: %v", dst)
+	}
+}
+
+// craftSection returns a stream holding one section with a length prefix of
+// n and the given raw run bytes, sealed with a valid CRC so only the run
+// framing is wrong.
+func craftSection(t *testing.T, n uint64, runs ...uint32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U64(n)
+	for _, v := range runs {
+		w.U32(v)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestMalformedRuns(t *testing.T) {
+	cases := []struct {
+		name string
+		runs []uint32 // (zeros, literals) pairs; literal words omitted
+	}{
+		{"zero-length", []uint32{0, 0, 4, 0}},
+		{"zeros-overrun", []uint32{5, 0}},
+		{"literals-overrun", []uint32{3, 2}},
+		{"second-run-overruns", []uint32{2, 0, 1, 2}},
+		{"max-counts", []uint32{^uint32(0), ^uint32(0)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			blob := craftSection(t, 4, tc.runs...)
+
+			r, err := NewReader(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			backing := []uint64{9, 9, 9, 9, 9, 9}
+			ReadSliceFixed(r, backing[:4])
+			if !errors.Is(r.Err(), ErrRun) {
+				t.Errorf("ReadSliceFixed error = %v, want ErrRun", r.Err())
+			}
+			if backing[4] != 9 || backing[5] != 9 {
+				t.Errorf("malformed run wrote past the destination: %v", backing)
+			}
+
+			r, err = NewReader(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReadSlice(r, []uint64(nil))
+			if !errors.Is(r.Close(), ErrRun) {
+				t.Errorf("ReadSlice error = %v, want ErrRun", r.Err())
+			}
+		})
+	}
+}
+
+func TestTruncatedStream(t *testing.T) {
+	blob := encodeSlice(t, []uint64{1, 0, 0, 0, 2, 3, 0, 4})
+	for n := 0; n < len(blob); n++ {
+		r, err := NewReader(bytes.NewReader(blob[:n]))
+		if err != nil {
+			continue
+		}
+		dst := make([]uint64, 8)
+		ReadSliceFixed(r, dst)
+		if err := r.Close(); err == nil {
+			t.Errorf("stream truncated to %d of %d bytes read without error", n, len(blob))
+		}
+	}
+}
+
+func TestFlippedPayloadBit(t *testing.T) {
+	blob := encodeSlice(t, []uint64{1, 2, 3})
+	// Header, length prefix, one run header, then the first literal word.
+	blob[headerLen+8+8] ^= 0x10
+	r, err := NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReadSlice(r, []uint64(nil))
+	if err := r.Close(); !errors.Is(err, ErrChecksum) {
+		t.Errorf("Close = %v, want ErrChecksum", err)
+	}
+}
+
+func TestVersion3Refused(t *testing.T) {
+	blob := encodeSlice(t, []uint64{1})
+	binary.LittleEndian.PutUint32(blob[len(magic):], 3)
+	if _, err := NewReader(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {
+		t.Errorf("NewReader on a v3 header = %v, want ErrVersion", err)
+	}
+}
+
+// btbLike has the shape of the branch predictor's BTB, the largest struct a
+// core checkpoint writes.
+type btbLike [2048][2]struct{ tag, target uint64 }
+
+func TestPrimitivesDoNotAllocate(t *testing.T) {
+	table := make([]uint64, 1024)
+	table[7] = 1
+	btb := new(btbLike)
+	btb[3][1].target = 5
+
+	w := NewWriter(io.Discard)
+	if n := testing.AllocsPerRun(100, func() {
+		w.U64(1)
+		w.U32(2)
+		w.Bool(true)
+		w.Str("tag")
+		Slice(w, table)
+		Struct(w, btb)
+	}); n != 0 {
+		t.Errorf("Writer allocates %.1f times per round", n)
+	}
+
+	const rounds = 101 // AllocsPerRun's warm-up call plus its runs
+	var buf bytes.Buffer
+	w = NewWriter(&buf)
+	for i := 0; i < rounds; i++ {
+		w.Mark("section")
+		w.U64(1)
+		w.U32(2)
+		w.Bool(true)
+		Slice(w, table)
+		Struct(w, btb)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(rounds-1, func() {
+		r.Expect("section")
+		r.U64()
+		r.U32()
+		r.Bool()
+		ReadSliceFixed(r, table)
+		ReadStruct(r, btb)
+	}); n != 0 {
+		t.Errorf("Reader allocates %.1f times per round", n)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if table[7] != 1 || btb[3][1].target != 5 {
+		t.Error("round trip lost state")
+	}
+}
+
+// fuzzStruct is the struct section of the fuzzed schema.
+type fuzzStruct struct {
+	A uint32
+	B [3]uint16
+	C [9]uint64
+}
+
+// encodeFuzzSchema writes the stream FuzzReader decodes. The seed corpus in
+// testdata/fuzz/FuzzReader was produced from it.
+func encodeFuzzSchema(tag string, fixed []uint16, vals []uint64, triples [][3]byte, st *fuzzStruct) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Mark("fuzz")
+	w.Str(tag)
+	w.U64(uint64(len(vals)))
+	w.U32(uint32(len(triples)))
+	w.Bool(len(tag) > 0)
+	Slice(w, fixed)
+	Slice(w, vals)
+	Slice(w, triples)
+	Struct(w, st)
+	if err := w.Close(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// fuzzFixedLen is the geometry of the schema's ReadSliceFixed section.
+const fuzzFixedLen = 37
+
+// FuzzReader decodes arbitrary bytes as the schema encodeFuzzSchema writes.
+// Property: the decode ends in success or an error, never a panic, and
+// allocates nothing beyond the Reader itself and the values whose length
+// prefixes passed the bound.
+func FuzzReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fixed := make([]uint16, fuzzFixedLen)
+		var (
+			st            fuzzStruct
+			tag           string
+			vals          []uint64
+			triples       [][3]byte
+			before, after runtime.MemStats
+		)
+		runtime.ReadMemStats(&before)
+		if r, err := NewReader(bytes.NewReader(data)); err == nil {
+			r.Expect("fuzz")
+			tag = r.Str()
+			r.U64()
+			r.U32()
+			r.Bool()
+			ReadSliceFixed(r, fixed)
+			vals = ReadSlice(r, vals)
+			triples = ReadSlice(r, triples)
+			ReadStruct(r, &st)
+			decodeErr := r.Err()
+			if err := r.Close(); decodeErr != nil && err == nil {
+				t.Fatalf("Close succeeded after a decode error: %v", decodeErr)
+			}
+		}
+		runtime.ReadMemStats(&after)
+
+		// The Reader and its 64 KiB buffer, error values, and the decoded
+		// values' own backing arrays.
+		const slack = 256 << 10
+		bound := uint64(slack + len(tag) + 8*cap(vals) + 3*cap(triples))
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Fatalf("decode allocated %d bytes, bound %d", got, bound)
+		}
+	})
+}

@@ -117,3 +117,43 @@ func TestCheckpointRefusals(t *testing.T) {
 		t.Error("NewFromCheckpoint accepted a truncated checkpoint")
 	}
 }
+
+// BenchmarkCheckpointRoundTrip measures the per-boundary cost of sliced
+// execution: Checkpoint of a core at the 30k+30k mcf boundary the sliced
+// daemon workload uses, then Restore of the blob into a second core of the
+// same geometry. ckpt_bytes is the blob size.
+func BenchmarkCheckpointRoundTrip(b *testing.B) {
+	base := config.TableI()
+	cases := []struct {
+		name string
+		cfg  *config.Config
+	}{
+		{"baseline", base},
+		{"rsep", base.WithRSEP(rsep.Ideal())},
+		{"rsep_vp", base.WithRSEP(rsep.Ideal()).WithVP(vpred.BeBoP())},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := tc.cfg.Clone()
+			cfg.Seed = 1
+			src := func() *workload.Gen { return workload.New(workload.MustByName("mcf"), 1) }
+			core := New(cfg, src())
+			core.Run(30_000)
+			core.ResetStats()
+			core.Run(30_000)
+			other := New(cfg, src())
+			var blob bytes.Buffer
+			b.ReportAllocs()
+			for b.Loop() {
+				blob.Reset()
+				if err := core.Checkpoint(&blob); err != nil {
+					b.Fatal(err)
+				}
+				if err := other.Restore(cfg, src(), bytes.NewReader(blob.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(blob.Len()), "ckpt_bytes")
+		})
+	}
+}

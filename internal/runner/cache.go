@@ -87,12 +87,13 @@ func (c *Cache) GetCheckpoint(k CheckpointKey) ([]byte, bool) {
 	return blob, ok
 }
 
-// PutCheckpoint stores a copy of blob under k, so the caller's buffer can be
-// reused.
+// PutCheckpoint stores blob under k and takes ownership of it: the caller
+// must not modify blob afterwards. Checkpoints run to megabytes, so the
+// cache keeps the caller's bytes instead of a copy.
 func (c *Cache) PutCheckpoint(k CheckpointKey, blob []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ckpts[k] = append([]byte(nil), blob...)
+	c.ckpts[k] = blob
 }
 
 // Len returns the number of cached results.

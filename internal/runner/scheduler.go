@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rsepsim/internal/metrics"
@@ -147,6 +148,10 @@ type Scheduler struct {
 	slicesRun     uint64
 	slicesResumed uint64
 	cyclesSkipped uint64
+
+	// ckptLen is the length of the last checkpoint runSliced wrote, the
+	// initial capacity of the next one's buffer.
+	ckptLen atomic.Int64
 }
 
 // NewScheduler returns an idle scheduler.

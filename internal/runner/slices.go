@@ -153,9 +153,13 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 		if ss != nil {
 			ss.PutSlice(sk, &delta)
 			// Checkpoint every boundary, the final one included — that is
-			// what lets a later submission extend this Measure.
+			// what lets a later submission extend this Measure. The store
+			// takes ownership of the bytes, so every boundary gets a fresh
+			// buffer, presized to the last checkpoint to skip regrowth.
 			var buf bytes.Buffer
+			buf.Grow(int(s.ckptLen.Load()))
 			if err := core.Checkpoint(&buf); err == nil {
+				s.ckptLen.Store(int64(buf.Len()))
 				ss.PutCheckpoint(CheckpointKey{Bench: j.Bench, ConfigHash: cfgHash,
 					Seed: j.Seed, Warmup: j.Warmup, At: end}, buf.Bytes())
 			}

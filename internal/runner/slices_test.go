@@ -1,14 +1,20 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"testing"
 
+	"rsepsim/internal/ckpt"
 	"rsepsim/internal/config"
 	"rsepsim/internal/metrics"
+	"rsepsim/internal/pipeline"
 	"rsepsim/internal/rsep"
 	"rsepsim/internal/vpred"
+	"rsepsim/internal/workload"
 )
 
 func statsBytes(t *testing.T, st *metrics.Stats) []byte {
@@ -178,24 +184,51 @@ func TestSlicedPartialResume(t *testing.T) {
 		t.Errorf("partial resume stats differ\n got: %s\nwant: %s", g, w)
 	}
 
-	// Corrupt the checkpoint the resume restores from: the restore must be
-	// refused (checksum) and the fallback must still produce identical stats.
-	corrupt := NewCache()
-	for k, v := range partial.slices {
-		corrupt.slices[k] = v
+	// Damage the checkpoint the resume restores from: the restore must be
+	// refused and the fallback must still produce identical stats. A
+	// checkpoint from format version 3 (raw POD sections) is refused the same
+	// way, from its header.
+	cfg := job.Config.Clone()
+	cfg.Seed = job.Seed
+	damages := []struct {
+		name    string
+		damage  func(blob []byte)
+		wantErr error // nil: any error
+	}{
+		{"flipped-byte", func(b []byte) { b[len(b)/2] ^= 0x01 }, nil},
+		{"version-3", func(b []byte) { binary.LittleEndian.PutUint32(b[len("RSEPCKPT"):], 3) }, ckpt.ErrVersion},
 	}
-	for k, v := range partial.ckpts {
-		blob := append([]byte(nil), v...)
-		blob[len(blob)/2] ^= 0x01
-		corrupt.ckpts[k] = blob
-	}
-	sched3 := NewScheduler(SchedulerOptions{Parallelism: 1, Store: corrupt})
-	got3, err := sched3.RunBatch(context.Background(), Batch{Jobs: []Job{job}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := statsBytes(t, got3[0].Stats), statsBytes(t, want[0].Stats); string(g) != string(w) {
-		t.Errorf("corrupt-checkpoint fallback stats differ\n got: %s\nwant: %s", g, w)
+	for _, d := range damages {
+		corrupt := NewCache()
+		for k, v := range cold.slices {
+			if k.End <= 2*chunk {
+				corrupt.slices[k] = v
+			}
+		}
+		for k, v := range cold.ckpts {
+			if k.At > 2*chunk {
+				continue
+			}
+			blob := append([]byte(nil), v...)
+			d.damage(blob)
+			src := workload.New(workload.MustByName(job.Bench), job.Seed)
+			_, err := pipeline.NewFromCheckpoint(cfg, src, bytes.NewReader(blob))
+			if err == nil || d.wantErr != nil && !errors.Is(err, d.wantErr) {
+				t.Fatalf("%s: restore error %v, want %v", d.name, err, d.wantErr)
+			}
+			corrupt.ckpts[k] = blob
+		}
+		sched3 := NewScheduler(SchedulerOptions{Parallelism: 1, Store: corrupt})
+		got3, err := sched3.RunBatch(context.Background(), Batch{Jobs: []Job{job}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := sched3.Status(); st.SlicesRun != 1 || st.SlicesResumed != 2 {
+			t.Fatalf("%s: SlicesRun=%d SlicesResumed=%d, want 1/2", d.name, st.SlicesRun, st.SlicesResumed)
+		}
+		if g, w := statsBytes(t, got3[0].Stats), statsBytes(t, want[0].Stats); string(g) != string(w) {
+			t.Errorf("%s: fallback stats differ\n got: %s\nwant: %s", d.name, g, w)
+		}
 	}
 }
 

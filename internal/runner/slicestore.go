@@ -36,9 +36,12 @@ type CheckpointKey struct {
 // still runs sliced jobs correctly, it just cannot resume or extend them.
 //
 // Like Store, implementations must be concurrency-safe, must hand out
-// snapshots/copies, treat damaged entries as misses (counted stale), and keep
-// Put best-effort. Checkpoint blobs are opaque to the store; integrity is the
-// store's job (a corrupt blob must become a miss, not a bad restore).
+// snapshots/copies of slice stats, treat damaged entries as misses (counted
+// stale), and keep Put best-effort. Checkpoint blobs are opaque to the store;
+// integrity is the store's job (a corrupt blob must become a miss, not a bad
+// restore). Blobs are not copied: PutCheckpoint takes ownership of its
+// argument, and GetCheckpoint may return stored bytes, which the caller must
+// not modify.
 type SliceStore interface {
 	GetSlice(k SliceKey) (*metrics.Stats, bool)
 	PutSlice(k SliceKey, st *metrics.Stats)

@@ -174,13 +174,11 @@ func (d *Disk) GetCheckpoint(k runner.CheckpointKey) ([]byte, bool) {
 	return blob, true
 }
 
-// PutCheckpoint persists blob under k, best-effort.
+// PutCheckpoint persists blob under k, best-effort. The digest and the
+// payload go to the file as two writes, not one concatenated copy.
 func (d *Disk) PutCheckpoint(k runner.CheckpointKey, blob []byte) {
 	sum := sha256.Sum256(blob)
-	raw := make([]byte, 0, sha256.Size+len(blob))
-	raw = append(raw, sum[:]...)
-	raw = append(raw, blob...)
-	if err := writeFileAtomic(d.ckptPath(CheckpointID(k)), raw); err != nil {
+	if err := writeFileAtomic(d.ckptPath(CheckpointID(k)), sum[:], blob); err != nil {
 		d.mu.Lock()
 		d.lastErr = err
 		d.mu.Unlock()

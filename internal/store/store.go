@@ -264,10 +264,11 @@ func (d *Disk) writeRaw(id string, raw []byte) error {
 	return writeFileAtomic(d.path(id), raw)
 }
 
-// writeFileAtomic installs raw at final via tmp+rename, creating the parent
-// directory on demand — the shared write discipline of every subtree (result
-// envelopes, slice envelopes, checkpoint blobs).
-func writeFileAtomic(final string, raw []byte) error {
+// writeFileAtomic installs the concatenation of parts at final via
+// tmp+rename, creating the parent directory on demand — the shared write
+// discipline of every subtree (result envelopes, slice envelopes, checkpoint
+// blobs).
+func writeFileAtomic(final string, parts ...[]byte) error {
 	dir := filepath.Dir(final)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -277,9 +278,11 @@ func writeFileAtomic(final string, raw []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
+	for _, p := range parts {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			return fmt.Errorf("store: %w", err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
