@@ -6,7 +6,7 @@
 // additionally served as immutable, strongly-ETagged documents that edge
 // caches can memoize.
 //
-// Endpoints: POST /v1/batches (NDJSON or SSE result stream),
+// Endpoints: POST /v1/batches (NDJSON result stream),
 // GET /v1/results/{id}, GET /v1/status (scheduler and store gauges),
 // /healthz, /metrics (Prometheus text). Errors are a uniform JSON envelope
 // {"error":{"code","message"}}; see README.md for the API reference.

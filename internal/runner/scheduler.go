@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"runtime"
@@ -17,9 +16,6 @@ import (
 // that cannot cross a wire (the progress callback).
 type Batch struct {
 	Jobs []Job
-	// Priority orders batches against each other; higher-priority work is
-	// popped from the scheduler's queue first. Ties run in submission order.
-	Priority int
 	// Parallelism bounds how many of this batch's jobs run concurrently;
 	// <= 0 means no per-batch bound (the scheduler's global bound applies).
 	Parallelism int
@@ -81,11 +77,6 @@ func (e *PartialError) Error() string {
 
 func (e *PartialError) Unwrap() error { return e.Err }
 
-// Summary renders the finished/aborted split compactly for logs.
-func (e *PartialError) Summary() string {
-	return fmt.Sprintf("%d finished, %d aborted", len(e.Finished), len(e.Aborted))
-}
-
 // JobFailure is the batch-level error of a run that completed but had at
 // least one job fail: the first failure in submission order, typed so a
 // caller can tell "this job deterministically fails" (not worth resubmitting)
@@ -120,12 +111,11 @@ type SchedulerOptions struct {
 // Scheduler is the admission and dispatch layer: long-lived, shared by any
 // number of concurrent batch submissions. It coalesces equal-key jobs within
 // a batch, deduplicates them across in-flight batches (cross-request
-// single-flight), resolves store hits without touching the executor, and
-// dispatches the rest to a bounded worker set in (priority, submission)
-// order. Workers are spawned on demand and exit when the queue drains, so an
-// idle scheduler owns no goroutines.
+// single-flight), and resolves store hits without touching the executor.
+// Each RunBatch call works off its own misses in submission order on
+// goroutines it owns, and a job executes only while it holds one of the
+// scheduler's Parallelism slots, so an idle scheduler owns no goroutines.
 type Scheduler struct {
-	par   int
 	exec  Executor
 	store Store // nil: never hits, counts nothing
 	// slicedOK records whether the executor is the in-process pipeline:
@@ -133,21 +123,21 @@ type Scheduler struct {
 	// custom Executor (a test stub, a remote hop) falls back to monolithic
 	// execution.
 	slicedOK bool
+	// slots is the global execution bound: a job runs only while it holds
+	// one of its Parallelism tokens.
+	slots chan struct{}
 
 	mu       sync.Mutex
-	queue    schedQueue
 	inflight map[Key]*flight
-	workers  int
-	running  int
-	waiting  int
-	seq      uint64
 
-	batches       uint64
-	jobs          uint64
-	sims          uint64
-	slicesRun     uint64
-	slicesResumed uint64
-	cyclesSkipped uint64
+	queued, running, waiting atomic.Int64
+
+	batches       atomic.Uint64
+	jobs          atomic.Uint64
+	sims          atomic.Uint64
+	slicesRun     atomic.Uint64
+	slicesResumed atomic.Uint64
+	cyclesSkipped atomic.Uint64
 
 	// ckptLen is the length of the last checkpoint runSliced wrote, the
 	// initial capacity of the next one's buffer.
@@ -165,10 +155,10 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 		exec = Simulate
 	}
 	return &Scheduler{
-		par:      par,
 		exec:     exec,
 		store:    opt.Store,
 		slicedOK: opt.Executor == nil,
+		slots:    make(chan struct{}, par),
 		inflight: make(map[Key]*flight),
 	}
 }
@@ -183,7 +173,8 @@ func (s *Scheduler) Counters() Counters {
 
 // Status is a point-in-time snapshot of the scheduler, for /metrics.
 type Status struct {
-	// QueueDepth is the number of queued (admitted, not yet running) jobs.
+	// QueueDepth is the number of admitted store misses no worker has
+	// picked up yet.
 	QueueDepth int
 	// Running is the number of jobs currently executing.
 	Running int
@@ -209,110 +200,49 @@ type Status struct {
 
 // Status reports scheduler-level counters and gauges.
 func (s *Scheduler) Status() Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return Status{
-		QueueDepth:    s.queue.Len(),
-		Running:       s.running,
-		Waiting:       s.waiting,
-		Batches:       s.batches,
-		Jobs:          s.jobs,
-		Simulations:   s.sims,
-		SlicesRun:     s.slicesRun,
-		SlicesResumed: s.slicesResumed,
-		CyclesSkipped: s.cyclesSkipped,
+		QueueDepth:    int(s.queued.Load()),
+		Running:       int(s.running.Load()),
+		Waiting:       int(s.waiting.Load()),
+		Batches:       s.batches.Load(),
+		Jobs:          s.jobs.Load(),
+		Simulations:   s.sims.Load(),
+		SlicesRun:     s.slicesRun.Load(),
+		SlicesResumed: s.slicesResumed.Load(),
+		CyclesSkipped: s.cyclesSkipped.Load(),
 	}
 }
-
-// Group/flight scheduling states, guarded by Scheduler.mu.
-const (
-	statePending = iota // known to the batch, not yet admitted
-	stateQueued         // owner of a flight, sitting in the queue
-	stateRunning        // owner of a flight, executing
-	stateWaiting        // subscribed to another batch's flight
-	stateDone           // finished (result or error delivered)
-)
 
 // group is one single-flight unit within a batch: every submitted job index
 // that shares a key, resolved once.
 type group struct {
 	key     Key
 	indices []int
-
-	state    int     // guarded by Scheduler.mu
-	fl       *flight // the flight this group waits on (stateWaiting)
-	admitted bool    // guarded by batchRun.mu: counts against the batch's bound
 }
 
-// flight is one in-flight execution of a key, shared across batches: the
-// owner (a queued/running group) executes; waiters receive the outcome.
+// flight is one in-flight execution of a key, shared across batches: its
+// owner executes, and groups of other batches wait on done for the outcome.
 type flight struct {
-	key     Key
-	waiters []waiter
+	done chan struct{}
+	// Set by the owner before done closes.
+	st  *metrics.Stats
+	err error
+	// abandoned means err is the owner batch's cancellation, not the job's
+	// outcome: a waiter whose own batch is live retries instead.
+	abandoned bool
 }
 
-type waiter struct {
-	br *batchRun
-	g  *group
-}
-
-// schedItem is one queue entry: a group owning a flight, tagged for ordering.
-type schedItem struct {
-	br    *batchRun
-	g     *group
-	fl    *flight
-	prio  int
-	seq   uint64
-	index int // heap bookkeeping
-}
-
-// schedQueue pops the highest priority first, submission order within one.
-type schedQueue []*schedItem
-
-func (q schedQueue) Len() int { return len(q) }
-func (q schedQueue) Less(i, j int) bool {
-	if q[i].prio != q[j].prio {
-		return q[i].prio > q[j].prio
-	}
-	return q[i].seq < q[j].seq
-}
-func (q schedQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index, q[j].index = i, j
-}
-func (q *schedQueue) Push(x any) {
-	it := x.(*schedItem)
-	it.index = len(*q)
-	*q = append(*q, it)
-}
-func (q *schedQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
-}
-
-// batchRun is the per-submission state: results, progress, and the admission
-// window.
+// batchRun is the per-submission state: results and progress.
 type batchRun struct {
-	s        *Scheduler
-	ctx      context.Context
-	jobs     []Job
-	results  []Result
-	onProg   func(Progress)
-	onSlice  func(SliceProgress)
-	priority int
-	limit    int
-	groups   []*group
+	ctx     context.Context
+	jobs    []Job
+	results []Result
+	onProg  func(Progress)
+	onSlice func(SliceProgress)
+	groups  []*group
 
-	mu        sync.Mutex
-	pending   []*group
-	done      int
-	active    int
-	remaining int
-	finished  chan struct{}
+	mu   sync.Mutex // serializes result delivery and the callbacks
+	done int
 }
 
 // RunBatch admits b, blocks until every job resolves, and returns one Result
@@ -339,15 +269,11 @@ func (s *Scheduler) RunBatch(ctx context.Context, b Batch) ([]Result, error) {
 	}
 
 	br := &batchRun{
-		s:        s,
-		ctx:      ctx,
-		jobs:     b.Jobs,
-		results:  results,
-		onProg:   b.OnProgress,
-		onSlice:  b.OnSlice,
-		priority: b.Priority,
-		limit:    b.Parallelism,
-		finished: make(chan struct{}),
+		ctx:     ctx,
+		jobs:    b.Jobs,
+		results: results,
+		onProg:  b.OnProgress,
+		onSlice: b.OnSlice,
 	}
 
 	// Coalesce identical jobs, preserving first-appearance order.
@@ -362,158 +288,120 @@ func (s *Scheduler) RunBatch(ctx context.Context, b Batch) ([]Result, error) {
 		}
 		g.indices = append(g.indices, i)
 	}
-	br.remaining = len(br.groups)
+	s.batches.Add(1)
+	s.jobs.Add(uint64(len(b.Jobs)))
 
-	s.mu.Lock()
-	s.batches++
-	s.jobs += uint64(len(b.Jobs))
-	s.mu.Unlock()
-
-	// Store first: groups already answered by it never reach the queue, and
-	// misses become the admission backlog.
+	// Store first: groups already answered by it never reach a worker.
 	var misses []*group
 	for _, g := range br.groups {
 		if s.store != nil {
 			if st, ok := s.store.Get(g.key); ok {
-				s.mu.Lock()
-				g.state = stateDone
-				s.mu.Unlock()
-				s.finishGroup(br, g, st, true, nil)
+				br.finish(g, st, true, nil)
 				continue
 			}
 		}
 		misses = append(misses, g)
 	}
 
-	// Admission: everything at once without a per-batch bound, otherwise an
-	// initial window that finishGroup keeps topped up.
-	var admit []*group
-	br.mu.Lock()
-	if br.limit <= 0 {
-		admit = misses
-		for _, g := range admit {
-			g.admitted = true
-		}
-		br.active = len(admit)
-	} else {
-		br.pending = misses
-		for br.active < br.limit && len(br.pending) > 0 {
-			g := br.pending[0]
-			br.pending = br.pending[1:]
-			g.admitted = true
-			br.active++
-			admit = append(admit, g)
-		}
+	workers := min(len(misses), cap(s.slots))
+	if b.Parallelism > 0 {
+		workers = min(workers, b.Parallelism)
 	}
-	br.mu.Unlock()
-	for _, g := range admit {
-		s.schedule(br, g)
+	s.queued.Add(int64(len(misses)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(misses) {
+					return
+				}
+				s.queued.Add(-1)
+				st, err := s.resolve(br, misses[i])
+				br.finish(misses[i], st, false, err)
+			}
+		}()
 	}
-
-	select {
-	case <-br.finished:
-	case <-ctx.Done():
-		s.drain(br)
-		<-br.finished
-	}
+	wg.Wait()
 
 	return results, br.finalError()
 }
 
-// schedule makes g runnable: it either joins an existing flight for the same
-// key (cross-request single-flight), or becomes the owner of a new one and
-// enters the queue. A cancelled batch's group is finished on the spot.
-func (s *Scheduler) schedule(br *batchRun, g *group) {
-	s.mu.Lock()
-	if g.state == stateDone {
-		s.mu.Unlock()
-		return
-	}
-	if br.ctx.Err() != nil {
-		g.state = stateDone
-		s.mu.Unlock()
-		s.finishGroup(br, g, nil, false, context.Cause(br.ctx))
-		return
-	}
-	if fl, ok := s.inflight[g.key]; ok {
-		g.state = stateWaiting
-		g.fl = fl
-		fl.waiters = append(fl.waiters, waiter{br: br, g: g})
-		s.waiting++
-		s.mu.Unlock()
-		return
-	}
-	fl := &flight{key: g.key}
-	s.inflight[g.key] = fl
-	s.enqueueLocked(br, g, fl)
-	s.mu.Unlock()
-}
-
-// enqueueLocked makes g the owner of fl, queues it, and keeps the worker
-// set topped up. Scheduler.mu must be held.
-func (s *Scheduler) enqueueLocked(br *batchRun, g *group, fl *flight) {
-	g.state = stateQueued
-	g.fl = fl
-	it := &schedItem{br: br, g: g, fl: fl, prio: br.priority, seq: s.seq}
-	s.seq++
-	heap.Push(&s.queue, it)
-	if s.workers < s.par {
-		s.workers++
-		go s.worker()
-	}
-}
-
-// worker executes queued flights until the queue drains, then exits.
-func (s *Scheduler) worker() {
+// resolve produces the outcome of one missed group: it joins another batch's
+// flight for the key (holding no slot while it waits), or owns a new flight
+// and executes the job. A waiter outlives its owner's cancellation: when the
+// owning batch dies, a live waiter loops and owns the next flight.
+func (s *Scheduler) resolve(br *batchRun, g *group) (*metrics.Stats, error) {
 	for {
-		s.mu.Lock()
-		if s.queue.Len() == 0 {
-			s.workers--
-			s.mu.Unlock()
-			return
-		}
-		it := heap.Pop(&s.queue).(*schedItem)
-		if it.g.state != stateQueued {
-			// Resolved while queued (batch drained); the flight was retired
-			// or handed to a promoted waiter already.
-			s.mu.Unlock()
-			continue
-		}
-		it.g.state = stateRunning
-		s.running++
-		s.mu.Unlock()
-
-		br, g := it.br, it.g
 		if br.ctx.Err() != nil {
-			// Not an executor run: the batch died while this sat queued.
-			s.mu.Lock()
-			s.running--
-			s.mu.Unlock()
-			s.completeFlight(it, nil, context.Cause(br.ctx))
-			continue
+			return nil, context.Cause(br.ctx)
 		}
-		start := time.Now()
-		j := br.jobs[g.indices[0]]
-		var st *metrics.Stats
-		var err error
-		if s.slicedOK && j.Slices > 1 {
-			st, err = s.runSlicedSafe(br, j, g.indices[0])
-		} else {
-			st, err = s.runExec(br.ctx, j)
-		}
-		if err == nil && s.store != nil {
-			s.store.Put(g.key, st, time.Since(start)) // best-effort by contract
-		}
-
 		s.mu.Lock()
-		s.running--
-		s.sims++ // every executor run counts, failed ones included
-		if st != nil {
-			s.cyclesSkipped += st.SkippedCycles
+		fl, ok := s.inflight[g.key]
+		if !ok {
+			fl = &flight{done: make(chan struct{})}
+			s.inflight[g.key] = fl
+			s.mu.Unlock()
+			return s.own(br, g, fl)
 		}
 		s.mu.Unlock()
-		s.completeFlight(it, st, err)
+
+		s.waiting.Add(1)
+		select {
+		case <-fl.done:
+			s.waiting.Add(-1)
+			if !fl.abandoned {
+				return fl.st, fl.err
+			}
+		case <-br.ctx.Done():
+			s.waiting.Add(-1)
+			return nil, context.Cause(br.ctx)
+		}
 	}
+}
+
+// own executes g's job under one of the scheduler's slots, writes a success
+// back to the store, and publishes the outcome to fl's waiters.
+func (s *Scheduler) own(br *batchRun, g *group, fl *flight) (st *metrics.Stats, err error) {
+	defer func() {
+		fl.st, fl.err = st, err
+		fl.abandoned = err != nil && br.ctx.Err() != nil
+		s.mu.Lock()
+		delete(s.inflight, g.key)
+		s.mu.Unlock()
+		close(fl.done)
+	}()
+
+	select {
+	case s.slots <- struct{}{}:
+	case <-br.ctx.Done():
+		return nil, context.Cause(br.ctx)
+	}
+	defer func() { <-s.slots }()
+	if br.ctx.Err() != nil { // both were ready and select picked the slot
+		return nil, context.Cause(br.ctx)
+	}
+
+	s.running.Add(1)
+	start := time.Now()
+	j := br.jobs[g.indices[0]]
+	if s.slicedOK && j.Slices > 1 {
+		st, err = s.runSlicedSafe(br, j, g.indices[0])
+	} else {
+		st, err = s.runExec(br.ctx, j)
+	}
+	if err == nil && s.store != nil {
+		s.store.Put(g.key, st, time.Since(start)) // best-effort by contract
+	}
+	s.running.Add(-1)
+	s.sims.Add(1) // every executor run counts, failed ones included
+	if st != nil {
+		s.cyclesSkipped.Add(st.SkippedCycles)
+	}
+	return st, err
 }
 
 // runExec invokes the executor with a panic backstop: a long-lived scheduler
@@ -547,106 +435,11 @@ func (s *Scheduler) runSlicedSafe(br *batchRun, j Job, index int) (st *metrics.S
 	return s.runSliced(br.ctx, j, notify)
 }
 
-// completeFlight retires a flight: the owner group and every waiter receive
-// the outcome. A waiter whose own batch is still live does not inherit the
-// owner's cancellation — it is rescheduled as a fresh attempt instead.
-func (s *Scheduler) completeFlight(it *schedItem, st *metrics.Stats, err error) {
-	br, g, fl := it.br, it.g, it.fl
-	ownerCancelled := err != nil && br.ctx.Err() != nil
-
-	var deliver, resched []waiter
-	s.mu.Lock()
-	g.state = stateDone
-	if s.inflight[fl.key] == fl {
-		delete(s.inflight, fl.key)
-	}
-	for _, w := range fl.waiters {
-		if w.g.state != stateWaiting {
-			continue // drained by its own batch already
-		}
-		s.waiting--
-		if ownerCancelled && w.br.ctx.Err() == nil {
-			w.g.state = statePending
-			resched = append(resched, w)
-		} else {
-			w.g.state = stateDone
-			deliver = append(deliver, w)
-		}
-	}
-	fl.waiters = nil
-	s.mu.Unlock()
-
-	s.finishGroup(br, g, st, false, err)
-	for _, w := range deliver {
-		s.finishGroup(w.br, w.g, st, false, err)
-	}
-	for _, w := range resched {
-		s.schedule(w.br, w.g)
-	}
-}
-
-// drain resolves a cancelled batch's outstanding work without waiting for
-// the queue: pending and queued groups finish immediately with the
-// cancellation cause, waiting groups detach from their flights, and running
-// groups are left to the executor's own prompt cancellation. A queued
-// group's flight is handed to its first live waiter (another batch must not
-// lose its slot because this one was cancelled), or retired.
-func (s *Scheduler) drain(br *batchRun) {
-	cause := context.Cause(br.ctx)
-
-	var toFinish []*group
-	s.mu.Lock()
-	for _, g := range br.groups {
-		switch g.state {
-		case statePending:
-			g.state = stateDone
-			toFinish = append(toFinish, g)
-		case stateWaiting:
-			if g.fl != nil {
-				ws := g.fl.waiters[:0]
-				for _, w := range g.fl.waiters {
-					if w.g != g {
-						ws = append(ws, w)
-					}
-				}
-				g.fl.waiters = ws
-			}
-			g.state = stateDone
-			s.waiting--
-			toFinish = append(toFinish, g)
-		case stateQueued:
-			g.state = stateDone
-			toFinish = append(toFinish, g)
-			fl := g.fl
-			promoted := false
-			for i, w := range fl.waiters {
-				if w.g.state == stateWaiting && w.br.ctx.Err() == nil {
-					fl.waiters = append(fl.waiters[:i:i], fl.waiters[i+1:]...)
-					s.waiting--
-					s.enqueueLocked(w.br, w.g, fl)
-					promoted = true
-					break
-				}
-			}
-			if !promoted && s.inflight[fl.key] == fl {
-				delete(s.inflight, fl.key)
-			}
-		}
-	}
-	s.mu.Unlock()
-
-	for _, g := range toFinish {
-		s.finishGroup(br, g, nil, false, cause)
-	}
-}
-
-// finishGroup delivers one group's outcome to every submitted index, fires
-// progress, tops up the batch's admission window, and releases RunBatch when
-// the batch is complete. Each group is finished exactly once (the state
-// machine under Scheduler.mu guarantees it).
-func (s *Scheduler) finishGroup(br *batchRun, g *group, st *metrics.Stats, hit bool, err error) {
-	var admit []*group
+// finish delivers one group's outcome to every submitted index and fires
+// progress. Each group is finished exactly once.
+func (br *batchRun) finish(g *group, st *metrics.Stats, hit bool, err error) {
 	br.mu.Lock()
+	defer br.mu.Unlock()
 	for _, i := range g.indices {
 		if err != nil {
 			br.results[i].Err = err
@@ -661,28 +454,6 @@ func (s *Scheduler) finishGroup(br *batchRun, g *group, st *metrics.Stats, hit b
 				Job: br.jobs[i], Stats: br.results[i].Stats, Err: err,
 			})
 		}
-	}
-	if g.admitted {
-		br.active--
-	}
-	if br.limit > 0 && br.ctx.Err() == nil {
-		for br.active < br.limit && len(br.pending) > 0 {
-			n := br.pending[0]
-			br.pending = br.pending[1:]
-			n.admitted = true
-			br.active++
-			admit = append(admit, n)
-		}
-	}
-	br.remaining--
-	last := br.remaining == 0
-	br.mu.Unlock()
-
-	for _, n := range admit {
-		s.schedule(br, n)
-	}
-	if last {
-		close(br.finished)
 	}
 }
 

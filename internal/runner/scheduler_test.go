@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,61 +32,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestSchedulerPriorityOrdering: with one worker pinned, queued batches run
-// highest-priority first, submission order within a priority.
-func TestSchedulerPriorityOrdering(t *testing.T) {
-	block := make(chan struct{})
-	var mu sync.Mutex
-	var order []int64
-	sched := NewScheduler(SchedulerOptions{
-		Parallelism: 1,
-		Executor: func(ctx context.Context, j Job) (*metrics.Stats, error) {
-			if j.Seed == 0 {
-				<-block // pin the only worker while the queue fills
-			} else {
-				mu.Lock()
-				order = append(order, j.Seed)
-				mu.Unlock()
-			}
-			return stubStats(j.Seed + 1), nil
-		},
-	})
-
-	var wg sync.WaitGroup
-	run := func(b Batch) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := sched.RunBatch(context.Background(), b); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	run(Batch{Jobs: []Job{stubJob(0)}})
-	waitFor(t, "the blocker to start", func() bool { return sched.Status().Running == 1 })
-
-	// Enqueued while the worker is pinned: priorities 0, 5, 1.
-	run(Batch{Jobs: []Job{stubJob(10)}, Priority: 0})
-	waitFor(t, "queue=1", func() bool { return sched.Status().QueueDepth == 1 })
-	run(Batch{Jobs: []Job{stubJob(20), stubJob(21)}, Priority: 5})
-	waitFor(t, "queue=3", func() bool { return sched.Status().QueueDepth == 3 })
-	run(Batch{Jobs: []Job{stubJob(30)}, Priority: 1})
-	waitFor(t, "queue=4", func() bool { return sched.Status().QueueDepth == 4 })
-
-	close(block)
-	wg.Wait()
-
-	want := []int64{20, 21, 30, 10}
-	if len(order) != len(want) {
-		t.Fatalf("executed %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("execution order %v, want %v (priority desc, submission asc)", order, want)
-		}
 	}
 }
 
@@ -264,4 +210,118 @@ func TestSimulationsCountFailedRuns(t *testing.T) {
 	if st := sched.Status(); st.Simulations != 2 {
 		t.Fatalf("simulations = %d, want 2 (failed runs count)", st.Simulations)
 	}
+}
+
+// TestConcurrentBatchesShareSlots: the scheduler-wide bound holds across
+// batches — two concurrent batches on a Parallelism 2 scheduler never have
+// more than 2 executors running between them.
+func TestConcurrentBatchesShareSlots(t *testing.T) {
+	var cur, peak atomic.Int64
+	sched := NewScheduler(SchedulerOptions{
+		Parallelism: 2,
+		Executor: func(ctx context.Context, j Job) (*metrics.Stats, error) {
+			n := cur.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+			cur.Add(-1)
+			return stubStats(j.Seed), nil
+		},
+	})
+	var wg sync.WaitGroup
+	for b := range 2 {
+		jobs := make([]Job, 6)
+		for i := range jobs {
+			jobs[i] = stubJob(int64(100*(b+1) + i))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sched.RunBatch(context.Background(), Batch{Jobs: jobs}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p > 2 {
+		t.Fatalf("peak concurrency %d across two batches, want <= 2", p)
+	}
+	if st := sched.Status(); st.Simulations != 12 {
+		t.Fatalf("simulations = %d, want 12", st.Simulations)
+	}
+}
+
+// TestCancelWhileWaitingForSlot: a batch cancelled while its job waits for a
+// slot held by another batch returns promptly with a *PartialError, and its
+// executor never runs.
+func TestCancelWhileWaitingForSlot(t *testing.T) {
+	block := make(chan struct{})
+	var ran2 atomic.Bool
+	sched := NewScheduler(SchedulerOptions{
+		Parallelism: 1,
+		Executor: func(ctx context.Context, j Job) (*metrics.Stats, error) {
+			if j.Seed == 1 {
+				<-block // hold the only slot
+			} else {
+				ran2.Store(true)
+			}
+			return stubStats(j.Seed), nil
+		},
+	})
+
+	holder := make(chan error, 1)
+	go func() {
+		_, err := sched.RunBatch(context.Background(), Batch{Jobs: []Job{stubJob(1)}})
+		holder <- err
+	}()
+	waitFor(t, "the slot holder to run", func() bool { return sched.Status().Running == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	out := make(chan error, 1)
+	go func() {
+		_, err := sched.RunBatch(ctx, Batch{Jobs: []Job{stubJob(2)}})
+		out <- err
+	}()
+	// The job owns its flight before it asks for a slot.
+	waitFor(t, "the second job to wait for a slot", func() bool {
+		sched.mu.Lock()
+		defer sched.mu.Unlock()
+		return sched.inflight[stubJob(2).Key()] != nil
+	})
+
+	cancel()
+	select {
+	case err := <-out:
+		var pe *PartialError
+		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want a *PartialError wrapping context.Canceled", err)
+		}
+		if pe.Done != 0 || len(pe.Aborted) != 1 {
+			t.Fatalf("partial = %+v, want 0 done and 1 aborted", pe)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled batch stayed blocked behind the busy slot")
+	}
+
+	close(block)
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+	if ran2.Load() {
+		t.Fatal("the cancelled batch's job executed")
+	}
+}
+
+// TestCancellationLeavesNoGoroutines: an idle scheduler owns no goroutines,
+// including after a waiter outlived its owner's cancellation and after a
+// batch was cancelled while waiting for a slot.
+func TestCancellationLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	t.Run("owner cancelled", TestWaiterSurvivesOwnerCancellation)
+	t.Run("cancelled waiting for a slot", TestCancelWhileWaitingForSlot)
+	waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }

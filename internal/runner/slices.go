@@ -69,13 +69,11 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 	defer release()
 
 	resolve := func(k int, resumed bool) {
-		s.mu.Lock()
 		if resumed {
-			s.slicesResumed++
+			s.slicesResumed.Add(1)
 		} else {
-			s.slicesRun++
+			s.slicesRun.Add(1)
 		}
-		s.mu.Unlock()
 		if notify != nil {
 			notify(k, resumed)
 		}

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -31,8 +30,6 @@ type JobSpec struct {
 // for the scheduler and the body of POST /v1/batches.
 type BatchSpec struct {
 	Jobs []JobSpec `json:"jobs"`
-	// Priority orders batches in the scheduler's queue; higher runs first.
-	Priority int `json:"priority,omitempty"`
 	// Parallelism bounds how many of this batch's jobs run concurrently;
 	// <= 0 means "no per-batch bound" (the scheduler's global bound still
 	// applies).
@@ -135,24 +132,6 @@ func (j Job) Spec() JobSpec {
 	}
 }
 
-// Canonical returns a deterministic byte encoding of the spec: the preset is
-// resolved to its full configuration, and fields serialize in declaration
-// order (config.Canonical guarantees the same for the nested config). Two
-// specs naming the same simulation canonicalize identically, so the encoding
-// is usable as an idempotency or edge-cache key for a whole submission.
-func (s JobSpec) Canonical() ([]byte, error) {
-	j, err := s.Job()
-	if err != nil {
-		return nil, err
-	}
-	norm := j.Spec()
-	b, err := json.Marshal(norm)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	return b, nil
-}
-
 // Validate checks every job plus the batch-level bounds.
 func (b BatchSpec) Validate() error {
 	if len(b.Jobs) == 0 {
@@ -169,29 +148,6 @@ func (b BatchSpec) Validate() error {
 	return nil
 }
 
-// Canonical returns the deterministic encoding of the whole batch: the
-// canonical form of every job plus the admission parameters.
-func (b BatchSpec) Canonical() ([]byte, error) {
-	type canonBatch struct {
-		Jobs        []json.RawMessage `json:"jobs"`
-		Priority    int               `json:"priority,omitempty"`
-		Parallelism int               `json:"parallelism,omitempty"`
-	}
-	cb := canonBatch{Priority: b.Priority, Parallelism: b.Parallelism}
-	for i, j := range b.Jobs {
-		raw, err := j.Canonical()
-		if err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
-		cb.Jobs = append(cb.Jobs, raw)
-	}
-	out, err := json.Marshal(cb)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	return out, nil
-}
-
 // Batch resolves the spec into a schedulable Batch.
 func (b BatchSpec) Batch() (Batch, error) {
 	if err := b.Validate(); err != nil {
@@ -205,7 +161,7 @@ func (b BatchSpec) Batch() (Batch, error) {
 		}
 		jobs[i] = j
 	}
-	return Batch{Jobs: jobs, Priority: b.Priority, Parallelism: b.Parallelism}, nil
+	return Batch{Jobs: jobs, Parallelism: b.Parallelism}, nil
 }
 
 // Spec returns the batch's wire form.
@@ -214,5 +170,5 @@ func (b Batch) Spec() BatchSpec {
 	for i, j := range b.Jobs {
 		specs[i] = j.Spec()
 	}
-	return BatchSpec{Jobs: specs, Priority: b.Priority, Parallelism: b.Parallelism}
+	return BatchSpec{Jobs: specs, Parallelism: b.Parallelism}
 }

@@ -90,9 +90,6 @@ func NewClientWith(baseURL string, hc *http.Client) (*Client, error) {
 	return &Client{base: u, hc: hc}, nil
 }
 
-// URL reports the daemon base URL the client was built with.
-func (c *Client) URL() string { return c.base.String() }
-
 func (c *Client) endpoint(path string) string {
 	u := *c.base
 	u.Path = strings.TrimSuffix(u.Path, "/") + path

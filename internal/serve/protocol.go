@@ -6,8 +6,8 @@
 // of the wire they are on. The API:
 //
 //	POST /v1/batches        submit a runner.BatchSpec; the response streams
-//	                        one NDJSON event per completed job (SSE with
-//	                        Accept: text/event-stream) and a final summary
+//	                        one NDJSON event per completed job and a final
+//	                        summary
 //	GET  /v1/results/{id}   one stored envelope, straight from the store;
 //	                        id = store.ID(key), which doubles as a strong
 //	                        ETag so edge caches can memoize indefinitely
@@ -28,7 +28,7 @@ import (
 	"rsepsim/internal/runner"
 )
 
-// event is one NDJSON line (or SSE data payload) of a batch response stream.
+// event is one NDJSON line of a batch response stream.
 // Event "result" resolves exactly one submitted job index; event "done"
 // terminates the stream with batch-level outcome. Streaming results one by
 // one (rather than a final array) is what makes client-side cancellation

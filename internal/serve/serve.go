@@ -88,32 +88,26 @@ func (s *Server) batchCtx(r *http.Request) (context.Context, context.CancelFunc)
 }
 
 // streamWriteTimeout bounds each event write: a client that stops reading
-// its stream stalls a shared scheduler worker (progress events fire on the
-// worker goroutine), so the write must fail rather than block forever. Once
-// a write fails the stream goes dark but the batch keeps running — its
-// results still land in the store.
+// its stream stalls the batch's workers (events fire on them, and slice
+// events while the job holds a scheduler-wide slot), so the write must fail
+// rather than block forever. Once a write fails the stream goes dark but
+// the batch keeps running — its results still land in the store.
 const streamWriteTimeout = 30 * time.Second
 
-// streamWriter serializes events onto the response as NDJSON or SSE.
+// streamWriter serializes events onto the response as NDJSON.
 // Progress callbacks arrive from scheduler goroutines, so writes lock.
 type streamWriter struct {
 	mu    sync.Mutex
 	w     http.ResponseWriter
 	rc    *http.ResponseController
 	flush http.Flusher
-	sse   bool
 	err   error // first write failure; once the client is gone, stop writing
 }
 
-func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
+func newStreamWriter(w http.ResponseWriter) *streamWriter {
 	sw := &streamWriter{w: w, rc: http.NewResponseController(w)}
 	sw.flush, _ = w.(http.Flusher)
-	if r.Header.Get("Accept") == "text/event-stream" {
-		sw.sse = true
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Accel-Buffering", "no") // tell buffering proxies to pass events through
 	return sw
@@ -134,11 +128,7 @@ func (sw *streamWriter) send(ev event) {
 	// arbitrarily long, but no single event may block a worker indefinitely.
 	// Writers that cannot set deadlines (test recorders) are left unbounded.
 	_ = sw.rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-	if sw.sse {
-		_, sw.err = fmt.Fprintf(sw.w, "event: %s\ndata: %s\n\n", ev.Event, raw)
-	} else {
-		_, sw.err = fmt.Fprintf(sw.w, "%s\n", raw)
-	}
+	_, sw.err = fmt.Fprintf(sw.w, "%s\n", raw)
 	if sw.err == nil && sw.flush != nil {
 		sw.flush.Flush()
 	}
@@ -165,9 +155,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.batchCtx(r)
 	defer cancel()
 
-	s.opt.Log.Printf("batch: %d jobs, priority %d, from %s", len(b.Jobs), b.Priority, r.RemoteAddr)
+	s.opt.Log.Printf("batch: %d jobs, from %s", len(b.Jobs), r.RemoteAddr)
 
-	sw := newStreamWriter(w, r)
+	sw := newStreamWriter(w)
 	b.OnProgress = func(p runner.Progress) {
 		ev := event{
 			Event:    "result",
@@ -313,7 +303,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"rsepd_store_hits_total", "Batch jobs answered from the result store.", "counter", c.Hits},
 		{"rsepd_store_misses_total", "Batch jobs that required a simulation.", "counter", c.Misses},
 		{"rsepd_store_stale_total", "Store entries found but rejected (damage).", "counter", c.Stale},
-		{"rsepd_queue_depth", "Jobs admitted and waiting for a worker.", "gauge", uint64(st.QueueDepth)},
+		{"rsepd_queue_depth", "Store misses admitted and not yet picked up by a worker.", "gauge", uint64(st.QueueDepth)},
 		{"rsepd_running", "Jobs currently executing.", "gauge", uint64(st.Running)},
 		{"rsepd_waiting", "Job groups deduplicated onto another batch's in-flight run.", "gauge", uint64(st.Waiting)},
 		{"rsepd_batches_total", "Batches admitted.", "counter", st.Batches},

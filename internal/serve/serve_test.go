@@ -367,28 +367,6 @@ func TestServerShutdownAbortsBatches(t *testing.T) {
 	}
 }
 
-// TestSSEStream: Accept: text/event-stream switches the framing.
-func TestSSEStream(t *testing.T) {
-	_, srv, _ := newDaemon(t, func(ctx context.Context, j runner.Job) (*metrics.Stats, error) {
-		return &metrics.Stats{Cycles: 1, Committed: 1}, nil
-	})
-	spec := runner.BatchSpec{Jobs: []runner.JobSpec{
-		{Bench: "mcf", Preset: "table1", Seed: 1, Warmup: 10, Measure: 10},
-	}}
-	body, _ := json.Marshal(spec)
-	req := httptest.NewRequest("POST", "/v1/batches", bytes.NewReader(body))
-	req.Header.Set("Accept", "text/event-stream")
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
-	if ct := rec.Header().Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	out := rec.Body.String()
-	if !strings.Contains(out, "event: result\ndata: ") || !strings.Contains(out, "event: done\ndata: ") {
-		t.Fatalf("SSE framing missing:\n%s", out)
-	}
-}
-
 // TestHealthz reports ok.
 func TestHealthz(t *testing.T) {
 	cl, _, _ := newDaemon(t, nil)

@@ -80,6 +80,8 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	check("POST", "/v1/batches", `{"jobs":[]}`, http.StatusBadRequest, CodeInvalidSpec)
 	check("POST", "/v1/batches", `{"jobs":[{"bench":"mcf","preset":"table1","measure":10,"slcies":2}]}`,
 		http.StatusBadRequest, CodeUndecodableSpec) // typoed field: strict decode
+	check("POST", "/v1/batches", `{"jobs":[{"bench":"mcf","preset":"table1","measure":10}],"priority":1}`,
+		http.StatusBadRequest, CodeUndecodableSpec) // removed batch option
 	check("GET", "/v1/results/"+strings.Repeat("0", 64), "", http.StatusNotFound, CodeNotFound)
 	check("GET", "/v1/results/nonsense", "", http.StatusUnprocessableEntity, CodeDamagedEntry)
 }
