@@ -162,6 +162,34 @@ func BenchmarkPipelineWarmWorker(b *testing.B) {
 	b.ReportMetric(float64(insts), "insts/op")
 }
 
+// BenchmarkPipelineMechanismSwitch measures a worker whose jobs alternate
+// mechanisms, as in the sliced daemon's baseline/RSEP/RSEP+VP rotation: one
+// core is reset in place (pipeline.Core.ResetFor) for a baseline, an RSEP
+// and an RSEP+VP job of 50k instructions each per op. B/op is the three
+// workloads plus the mechanism tables the switches rebuild — RSEP's when
+// RSEP returns after the baseline job, D-VTAGE's when VP joins — never a
+// whole core.
+func BenchmarkPipelineMechanismSwitch(b *testing.B) {
+	const insts = 50_000
+	base := config.TableI()
+	cfgs := []*config.Config{
+		base,
+		base.WithRSEP(rsep.Ideal()),
+		base.WithRSEP(rsep.Ideal()).WithVP(vpred.BeBoP()),
+	}
+	prof := workload.MustByName("mcf")
+	core := pipeline.New(cfgs[len(cfgs)-1], workload.New(prof, 42))
+	core.Run(insts) // warm: grow arena, wheels, queues to the job's footprint
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			core.ResetFor(cfg, workload.New(prof, 42))
+			core.Run(insts)
+		}
+	}
+	b.ReportMetric(float64(len(cfgs)*insts), "insts/op")
+}
+
 // BenchmarkWorkloadGen measures trace generation throughput alone.
 func BenchmarkWorkloadGen(b *testing.B) {
 	prof := workload.MustByName("xalancbmk")

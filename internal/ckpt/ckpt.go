@@ -5,11 +5,13 @@
 //
 // The format is deliberately *not* an interchange format. Slices of plain-old
 // -data structs are dumped with their in-memory layout (native endianness,
-// native word size, native field padding), so a checkpoint is only guaranteed
+// native word size, native field offsets), so a checkpoint is only guaranteed
 // to restore under a binary built for the same architecture — the header's
-// architecture probe refuses anything else. What the format buys in exchange
-// is that saving or restoring a multi-megabyte predictor table is a scan for
-// zero words plus a few contiguous copies instead of a per-field walk.
+// architecture probe refuses anything else. Padding bytes are written as
+// zero, so equal states always encode to equal bytes. What the format buys
+// in exchange is that saving or restoring a multi-megabyte predictor table is
+// a scan for zero words plus a few contiguous copies instead of a per-field
+// walk.
 //
 // A POD section's bytes are written as 8-byte words in runs: a header of two
 // u32 counts (zero words, then literal words) followed by the literal words
@@ -121,7 +123,8 @@ type Writer struct {
 	bw      *bufio.Writer
 	crc     crcAcc
 	err     error
-	scratch [8]byte // fixed-width values, so writing them never allocates
+	scratch [8]byte   // fixed-width values, so writing them never allocates
+	lit     [512]byte // masked literal words of padded POD sections
 }
 
 // NewWriter starts a checkpoint stream on w, emitting the header.
@@ -352,28 +355,34 @@ func (r *Reader) Close() error {
 	return r.err
 }
 
-// podCache memoizes the pointer-freeness verdict per element type.
-var podCache sync.Map // reflect.Type -> bool
+// podCache memoizes the per-type verdict: nil for a type that is not plain
+// old data, else its padding mask (see padMask).
+var podCache sync.Map // reflect.Type -> []uint64 (nil: not POD)
+
+// noPadding is the cached mask of a POD type without padding bytes.
+var noPadding = []uint64{}
 
 // assertPOD panics if T contains pointers, slices, maps, strings or other
-// reference kinds — raw-dumping such a type would serialize addresses. The
-// check runs once per type; later calls are one map lookup. The type comes
-// from a *T, not a T: boxing a zero T (as reflect.TypeOf(zero) and, before
-// Go 1.25, reflect.TypeFor do) copies the whole value to the heap, 96 KiB for
-// the branch predictor's BTB.
-func assertPOD[T any]() {
+// reference kinds — raw-dumping such a type would serialize addresses — and
+// otherwise returns T's padding mask. The check runs once per type; later
+// calls are one map lookup. The type comes from a *T, not a T: boxing a zero
+// T (as reflect.TypeOf(zero) and, before Go 1.25, reflect.TypeFor do) copies
+// the whole value to the heap, 96 KiB for the branch predictor's BTB.
+func assertPOD[T any]() []uint64 {
 	t := reflect.TypeOf((*T)(nil)).Elem()
-	if ok, seen := podCache.Load(t); seen {
-		if !ok.(bool) {
-			panic(fmt.Sprintf("ckpt: type %v is not plain old data", t))
+	m, seen := podCache.Load(t)
+	if !seen {
+		var mask []uint64
+		if isPOD(t) {
+			mask = padMask(t)
 		}
-		return
+		m, _ = podCache.LoadOrStore(t, mask)
 	}
-	ok := isPOD(t)
-	podCache.Store(t, ok)
-	if !ok {
+	mask := m.([]uint64)
+	if mask == nil {
 		panic(fmt.Sprintf("ckpt: type %v is not plain old data", t))
 	}
+	return mask
 }
 
 func isPOD(t reflect.Type) bool {
@@ -397,6 +406,59 @@ func isPOD(t reflect.Type) bool {
 	}
 }
 
+// padMask returns the word masks that clear the padding bytes of a section
+// of t values (or of one t value): word i of the section is ANDed with
+// mask[i%len(mask)]. Padding holds whatever the allocator or a copied stack
+// temporary left there, so without the mask two equal states could encode
+// differently. A type without padding gets the empty noPadding mask.
+func padMask(t reflect.Type) []uint64 {
+	for t.Kind() == reflect.Array {
+		t = t.Elem() // a section is whole elements: the period is one element
+	}
+	size := int(t.Size())
+	data := make([]byte, size)
+	markData(t, data)
+	if !bytes.Contains(data, []byte{0}) {
+		return noPadding
+	}
+	// The pattern repeats every size bytes; a whole number of words covers
+	// lcm(size, 8) bytes.
+	period := size
+	for period%8 != 0 {
+		period += size
+	}
+	mask := make([]uint64, period/8)
+	var w [8]byte
+	for i := range mask {
+		for k := range w {
+			w[k] = data[(i*8+k)%size]
+		}
+		mask[i] = binary.LittleEndian.Uint64(w[:])
+	}
+	return mask
+}
+
+// markData sets the bytes of m (one t value) that hold data to 0xff,
+// leaving padding zero.
+func markData(t reflect.Type, m []byte) {
+	switch t.Kind() {
+	case reflect.Array:
+		n := int(t.Elem().Size())
+		for i := 0; i < t.Len(); i++ {
+			markData(t.Elem(), m[i*n:(i+1)*n])
+		}
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			markData(f.Type, m[f.Offset:f.Offset+f.Type.Size()])
+		}
+	default:
+		for i := range m {
+			m[i] = 0xff
+		}
+	}
+}
+
 func rawBytes[T any](s []T) []byte {
 	if len(s) == 0 {
 		return nil
@@ -405,39 +467,46 @@ func rawBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(zero)))
 }
 
-// word returns the i-th 8-byte word of b. Zero tests are byte-order blind;
-// the load is unaligned-safe because POD slices of small types (uint16,
-// [3]byte) need not sit on an 8-byte boundary.
-func word(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i*8:]) }
-
 // zeroBlock lets zero runs be skipped a block at a time: cold tables are
 // long stretches of zero words.
 var zeroBlock [256]byte
 
 // writePOD writes b's words as zero runs, each literal run straight from b,
-// then b's raw tail of fewer than 8 bytes.
-func (w *Writer) writePOD(b []byte) {
+// then b's raw tail of fewer than 8 bytes. A non-empty mask (padMask) clears
+// padding first: masked words are tested for zero, and literal runs and the
+// tail are written through the literal buffer.
+func (w *Writer) writePOD(b []byte, mask []uint64) {
 	const block = len(zeroBlock) / 8
 	words := len(b) / 8
 	if uint64(words) > math.MaxUint32 {
 		w.fail(fmt.Errorf("ckpt: POD section of %d bytes exceeds the run counts", len(b)))
 		return
 	}
+	// word returns the i-th 8-byte word of b, padding cleared. The load is
+	// unaligned-safe because POD slices of small types (uint16, [3]byte)
+	// need not sit on an 8-byte boundary.
+	word := func(i int) uint64 {
+		v := binary.LittleEndian.Uint64(b[i*8:])
+		if len(mask) > 0 {
+			v &= mask[i%len(mask)]
+		}
+		return v
+	}
 	for i := 0; i < words; {
 		lit := i
 		for lit+block <= words && bytes.Equal(b[lit*8:(lit+block)*8], zeroBlock[:]) {
 			lit += block
 		}
-		for lit < words && word(b, lit) == 0 {
+		for lit < words && word(lit) == 0 {
 			lit++
 		}
 		// An isolated zero word stays inside the literal run: splitting there
 		// would spend an 8-byte header to save 8 bytes.
 		end := lit
 		for end < words {
-			if word(b, end) != 0 {
+			if word(end) != 0 {
 				end++
-			} else if end+1 < words && word(b, end+1) != 0 {
+			} else if end+1 < words && word(end+1) != 0 {
 				end += 2
 			} else {
 				break
@@ -446,10 +515,29 @@ func (w *Writer) writePOD(b []byte) {
 		binary.LittleEndian.PutUint32(w.scratch[:4], uint32(lit-i))
 		binary.LittleEndian.PutUint32(w.scratch[4:], uint32(end-lit))
 		w.writeRaw(w.scratch[:])
-		w.writeRaw(b[lit*8 : end*8])
+		if len(mask) == 0 {
+			w.writeRaw(b[lit*8 : end*8])
+		} else {
+			for lit < end {
+				n := min(end-lit, len(w.lit)/8)
+				for k := range n {
+					binary.LittleEndian.PutUint64(w.lit[k*8:], word(lit+k))
+				}
+				w.writeRaw(w.lit[:n*8])
+				lit += n
+			}
+		}
 		i = end
 	}
-	w.writeRaw(b[words*8:])
+	tail := b[words*8:]
+	if len(mask) > 0 && len(tail) > 0 {
+		copy(w.lit[:8], tail)
+		clear(w.lit[len(tail):8])
+		v := binary.LittleEndian.Uint64(w.lit[:8]) & mask[words%len(mask)]
+		binary.LittleEndian.PutUint64(w.lit[:8], v)
+		tail = w.lit[:len(tail)]
+	}
+	w.writeRaw(tail)
 }
 
 // readPOD fills b from a section written by writePOD. b must be zero on
@@ -478,9 +566,9 @@ func (r *Reader) readPOD(b []byte) {
 
 // Slice writes a length-prefixed, zero-run encoded dump of a POD slice.
 func Slice[T any](w *Writer, s []T) {
-	assertPOD[T]()
+	mask := assertPOD[T]()
 	w.U64(uint64(len(s)))
-	w.writePOD(rawBytes(s))
+	w.writePOD(rawBytes(s), mask)
 }
 
 // ReadSlice reads a slice written by Slice, reusing s's backing array when it
@@ -517,8 +605,8 @@ func ReadSliceFixed[T any](r *Reader, s []T) {
 
 // Struct writes one POD struct, zero-run encoded like a slice section.
 func Struct[T any](w *Writer, v *T) {
-	assertPOD[T]()
-	w.writePOD(unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v)))
+	mask := assertPOD[T]()
+	w.writePOD(unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v)), mask)
 }
 
 // ReadStruct reads a struct written by Struct.

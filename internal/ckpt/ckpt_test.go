@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -303,6 +304,76 @@ func TestVersion3Refused(t *testing.T) {
 	binary.LittleEndian.PutUint32(blob[len(magic):], 3)
 	if _, err := NewReader(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {
 		t.Errorf("NewReader on a v3 header = %v, want ErrVersion", err)
+	}
+}
+
+// padded has padding after a (4 bytes) and after c (7 bytes); padded12 is
+// 12 bytes with padding after b, so an odd-length slice of it ends in a
+// partial word.
+type (
+	padded struct {
+		a uint32
+		b uint64
+		c uint8
+	}
+	padded12 struct {
+		a uint32
+		b uint16
+		c uint32
+	}
+)
+
+// scribble overwrites every byte of s, padding included, then restores the
+// fields of want: the padding keeps the garbage.
+func scribble[T any](s []T, want []T) {
+	raw, src := rawBytes(s), rawBytes(want)
+	for i := range raw {
+		raw[i] = byte(0xa5 ^ i)
+	}
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	for i := range s {
+		for j := 0; j < t.NumField(); j++ {
+			lo := i*int(t.Size()) + int(t.Field(j).Offset)
+			hi := lo + int(t.Field(j).Type.Size())
+			copy(raw[lo:hi], src[lo:hi])
+		}
+	}
+}
+
+// TestPaddingEncodesAsZero pins that a section's bytes depend only on its
+// field values: padding bytes, which hold whatever the allocator or a copied
+// stack temporary left there, are encoded as zero.
+func TestPaddingEncodesAsZero(t *testing.T) {
+	vals := []padded{{1, 2, 3}, {}, {0, 0, 9}, {4, 0, 0}}
+	dirty := make([]padded, len(vals))
+	scribble(dirty, vals)
+	if !bytes.Equal(encodeSlice(t, dirty), encodeSlice(t, vals)) {
+		t.Error("padding garbage reached a Slice section")
+	}
+	roundTripSlice(t, dirty, padded{7, 7, 7})
+
+	vals12 := []padded12{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
+	dirty12 := make([]padded12, len(vals12))
+	scribble(dirty12, vals12)
+	if !bytes.Equal(encodeSlice(t, dirty12), encodeSlice(t, vals12)) {
+		t.Error("padding garbage reached the partial last word of a Slice section")
+	}
+	roundTripSlice(t, dirty12, padded12{7, 7, 7})
+
+	var clean, garbage [3]padded
+	copy(clean[:], vals)
+	scribble(garbage[:], clean[:])
+	encode := func(v *[3]padded) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		Struct(w, v)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(encode(&garbage), encode(&clean)) {
+		t.Error("padding garbage reached a Struct section")
 	}
 }
 

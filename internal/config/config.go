@@ -5,12 +5,18 @@
 package config
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
+	"rsepsim/internal/cache"
+	"rsepsim/internal/metrics"
+	"rsepsim/internal/predictor"
 	"rsepsim/internal/rsep"
+	"rsepsim/internal/uarch"
 	"rsepsim/internal/vpred"
 )
 
@@ -131,16 +137,36 @@ func TableI() *Config {
 	}
 }
 
+// MaxSize is the ceiling on every structural size a config may ask for:
+// widths, windows, register counts, cache capacities in KB, ways, MSHRs,
+// TLB, store-set and predictor table entries. It is 4x the largest size any
+// experiment uses (16K-entry predictor tables); a config with every window,
+// register file, cache, TLB, store set and RSEP/VP table at MaxSize builds
+// a core of about 400 MB, where an unbounded wire value could ask for
+// hundreds of GB.
+const MaxSize = 1 << 16
+
+// MaxCommitWidth is the widest commit group the statistics can record: the
+// commit-group histogram has one bucket per group size 0..MaxCommitWidth.
+const MaxCommitWidth = len(metrics.Stats{}.CommitEligibleHist) - 1
+
 // Validate rejects configurations the pipeline cannot be built on: every
 // structural width, window, register count, cache geometry and frequency
-// must be positive. Configs assembled from TableI and the With* derivations
-// always pass; the check guards the wire surface, where an arbitrary inline
-// config must not be able to take down a serving process.
+// must be positive, every size at most MaxSize, CommitWidth at most
+// MaxCommitWidth, each register class larger than its architectural
+// registers, each cache level at least one set deep, and the RSEP and VP
+// predictors' tables non-empty with at most predictor.MaxComponents tagged
+// components of one history length each. Configs assembled from TableI and
+// the With* derivations always pass; the check guards the wire surface,
+// where an inline config must not be able to exhaust a serving process's
+// memory or panic the core it is built on. Latencies and the clock are
+// checked for sign only, so a huge one still makes a job run for very long.
 func (c *Config) Validate() error {
-	pos := []struct {
+	type field struct {
 		name string
 		v    int
-	}{
+	}
+	pos := []field{
 		{"FetchWidth", c.FetchWidth}, {"DecodeWidth", c.DecodeWidth},
 		{"RenameWidth", c.RenameWidth}, {"IssueWidth", c.IssueWidth},
 		{"CommitWidth", c.CommitWidth},
@@ -156,9 +182,51 @@ func (c *Config) Validate() error {
 		{"ITLBEntries", c.ITLBEntries}, {"DTLBEntries", c.DTLBEntries},
 		{"SSITEntries", c.SSITEntries}, {"LFSTEntries", c.LFSTEntries},
 	}
+	var nonNeg []field // sizes where 0 selects a default or "unbounded"
+	if r := c.RSEP; r != nil {
+		pos = append(pos, field{"RSEP.TAGE.BaseEntries", r.TAGE.BaseEntries},
+			field{"RSEP.TAGE.TaggedEntries", r.TAGE.TaggedEntries})
+		nonNeg = append(nonNeg, field{"RSEP.HistEntries", r.HistEntries},
+			field{"RSEP.DDTEntries", r.DDTEntries}, field{"RSEP.ISRBEntries", r.ISRBEntries},
+			field{"RSEP.ZeroPredEntries", r.ZeroPredEntries})
+		if err := components("RSEP.TAGE", r.TAGE.TagBits, r.TAGE.HistLens); err != nil {
+			return err
+		}
+	}
+	if v := c.VP; v != nil {
+		pos = append(pos, field{"VP.LVTEntries", v.LVTEntries}, field{"VP.TaggedEntries", v.TaggedEntries})
+		if err := components("VP", v.TagBits, v.HistLens); err != nil {
+			return err
+		}
+	}
 	for _, f := range pos {
 		if f.v <= 0 {
 			return fmt.Errorf("config: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	for _, f := range append(pos, nonNeg...) {
+		if f.v < 0 {
+			return fmt.Errorf("config: %s must be non-negative, got %d", f.name, f.v)
+		}
+		if f.v > MaxSize {
+			return fmt.Errorf("config: %s must be at most %d, got %d", f.name, MaxSize, f.v)
+		}
+	}
+	if c.CommitWidth > MaxCommitWidth {
+		return fmt.Errorf("config: CommitWidth must be at most %d, got %d", MaxCommitWidth, c.CommitWidth)
+	}
+	if c.IntPRegs <= uarch.NumIntRegs {
+		return fmt.Errorf("config: IntPRegs must exceed the %d architectural registers, got %d", uarch.NumIntRegs, c.IntPRegs)
+	}
+	if c.FPPRegs <= uarch.NumFPRegs {
+		return fmt.Errorf("config: FPPRegs must exceed the %d architectural registers, got %d", uarch.NumFPRegs, c.FPPRegs)
+	}
+	for _, l := range []struct {
+		name     string
+		kb, ways int
+	}{{"L1", c.L1SizeKB, c.L1Ways}, {"L2", c.L2SizeKB, c.L2Ways}, {"L3", c.L3SizeKB, c.L3Ways}} {
+		if l.kb*1024/cache.LineBytes < l.ways {
+			return fmt.Errorf("config: %sSizeKB %d holds fewer lines than %sWays %d", l.name, l.kb, l.name, l.ways)
 		}
 	}
 	if c.BTBMissPenalty < 0 {
@@ -166,6 +234,24 @@ func (c *Config) Validate() error {
 	}
 	if c.CPUFreqGHz <= 0 {
 		return fmt.Errorf("config: CPUFreqGHz must be positive, got %g", c.CPUFreqGHz)
+	}
+	return nil
+}
+
+// components checks a TAGE component list: at most predictor.MaxComponents
+// tagged components, one history length of 1..predictor.MaxHistoryBits per
+// component.
+func components(name string, tagBits, histLens []int) error {
+	if len(tagBits) > predictor.MaxComponents {
+		return fmt.Errorf("config: %s has %d tagged components, limit %d", name, len(tagBits), predictor.MaxComponents)
+	}
+	if len(histLens) != len(tagBits) {
+		return fmt.Errorf("config: %s has %d history lengths for %d tagged components", name, len(histLens), len(tagBits))
+	}
+	for _, l := range histLens {
+		if l < 1 || l > predictor.MaxHistoryBits {
+			return fmt.Errorf("config: %s history length %d outside [1, %d]", name, l, predictor.MaxHistoryBits)
+		}
 	}
 	return nil
 }
@@ -189,23 +275,50 @@ func (c *Config) Canonical() []byte {
 // cache key. Configs that differ in any field (including Seed) hash
 // differently; callers that track the seed separately should normalize it
 // before hashing (see runner.Job).
-func (c *Config) Hash() string {
-	sum := sha256.Sum256(c.Canonical())
-	return hex.EncodeToString(sum[:16])
-}
+func (c *Config) Hash() string { return c.hash(c.Seed) }
 
 // SeedlessHash returns Hash with the Seed field normalized to zero: the
 // digest identifies the machine *geometry and mechanisms*, independent of the
-// RNG seed. The runner keys both its result cache and its reusable-core pool
-// on it — two jobs with the same SeedlessHash build structurally identical
-// cores, so one can be reset in place for the other.
-func (c *Config) SeedlessHash() string {
-	if c.Seed == 0 {
-		return c.Hash()
+// RNG seed. The runner keys its result cache on it, and its core pool hands
+// a job the idle core last used under the same SeedlessHash first, since
+// that core resets in place without rebuilding anything.
+func (c *Config) SeedlessHash() string { return c.hash(0) }
+
+// hasher is the scratch state of one hash: a copy of the config with the
+// seed to encode, and an encoder writing into a reused buffer.
+type hasher struct {
+	cfg Config
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// hashers recycles hasher state. Every job key hashes its config, and a
+// run answered from the result store does little else per job, so hashing
+// allocates only the digest string.
+var hashers = sync.Pool{New: func() any {
+	h := new(hasher)
+	h.enc = json.NewEncoder(&h.buf)
+	return h
+}}
+
+// hash returns the digest of c's canonical encoding with its Seed replaced
+// by seed. json.Encoder writes exactly what json.Marshal (Canonical)
+// returns, followed by a newline, which is left out of the digest.
+func (c *Config) hash(seed int64) string {
+	h := hashers.Get().(*hasher)
+	h.cfg = *c
+	h.cfg.Seed = seed
+	h.buf.Reset()
+	if err := h.enc.Encode(&h.cfg); err != nil {
+		panic(fmt.Sprintf("config: canonical encoding failed: %v", err))
 	}
-	k := c.Clone()
-	k.Seed = 0
-	return k.Hash()
+	b := h.buf.Bytes()
+	sum := sha256.Sum256(b[:len(b)-1])
+	h.cfg = Config{} // drop the sub-config pointers
+	hashers.Put(h)
+	var digest [32]byte
+	hex.Encode(digest[:], sum[:16])
+	return string(digest[:])
 }
 
 // Clone returns a deep copy (the RSEP and VP sub-configs are copied too).

@@ -1,9 +1,16 @@
 package config
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
+	"sync"
 	"testing"
 
+	"rsepsim/internal/cache"
+	"rsepsim/internal/predictor"
 	"rsepsim/internal/rsep"
+	"rsepsim/internal/uarch"
 	"rsepsim/internal/vpred"
 )
 
@@ -117,5 +124,114 @@ func TestCanonicalHash(t *testing.T) {
 	}
 	if len(base.Canonical()) == 0 {
 		t.Fatal("empty canonical encoding")
+	}
+}
+
+// TestHashDigestsCanonical: Hash is the digest of Canonical, and
+// SeedlessHash that of a copy with the seed zeroed, so result-store keys
+// written by earlier versions stay valid.
+func TestHashDigestsCanonical(t *testing.T) {
+	digest := func(c *Config) string {
+		sum := sha256.Sum256(c.Canonical())
+		return hex.EncodeToString(sum[:16])
+	}
+	base := TableI()
+	cfgs := []*Config{base, base.WithZeroPred(), base.WithMoveElim(), base.WithRSEP(rsep.Ideal()),
+		base.WithRSEP(rsep.Realistic()), base.WithVP(vpred.BeBoP()),
+		base.WithRSEP(rsep.Realistic()).WithVP(vpred.BeBoP()), base.WithOracle()}
+	for i, c := range cfgs {
+		for _, seed := range []int64{0, 1, -3, 12345} {
+			c := c.Clone()
+			c.Seed = seed
+			if got, want := c.Hash(), digest(c); got != want {
+				t.Errorf("config %d seed %d: Hash %s, want %s", i, seed, got, want)
+			}
+			zero := c.Clone()
+			zero.Seed = 0
+			if got, want := c.SeedlessHash(), digest(zero); got != want {
+				t.Errorf("config %d seed %d: SeedlessHash %s, want %s", i, seed, got, want)
+			}
+		}
+	}
+	// The Table I key every stored result of the baseline machine is filed
+	// under.
+	if got, want := base.SeedlessHash(), "382a30fca096a763978b14524ed0151f"; got != want {
+		t.Errorf("TableI SeedlessHash %s, want %s", got, want)
+	}
+	// The scratch state is shared through a pool: concurrent hashing of
+	// different configs must not mix them.
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				c := cfgs[(g+i)%len(cfgs)]
+				if got, want := c.Hash(), digest(c); got != want {
+					t.Errorf("concurrent Hash %s, want %s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestValidateBounds: wire configs that would exhaust memory or panic at
+// construction are rejected, each naming the offending field.
+func TestValidateBounds(t *testing.T) {
+	rsepWith := func(f func(r *rsep.Config)) *Config {
+		r := rsep.Ideal()
+		f(&r)
+		return TableI().WithRSEP(r)
+	}
+	vpWith := func(f func(v *vpred.Config)) *Config {
+		v := vpred.BeBoP()
+		f(&v)
+		return TableI().WithVP(v)
+	}
+	cases := []struct {
+		name, field string
+		cfg         *Config
+	}{
+		{"huge L3", "L3SizeKB", func() *Config { c := TableI(); c.L3SizeKB = 1 << 30; return c }()},
+		{"huge ROB", "ROBSize", func() *Config { c := TableI(); c.ROBSize = MaxSize + 1; return c }()},
+		{"wide commit", "CommitWidth", func() *Config { c := TableI(); c.CommitWidth = MaxCommitWidth + 1; return c }()},
+		{"no free int register", "IntPRegs", func() *Config { c := TableI(); c.IntPRegs = uarch.NumIntRegs; return c }()},
+		{"no free FP register", "FPPRegs", func() *Config { c := TableI(); c.FPPRegs = 1; return c }()},
+		{"setless L3", "L3SizeKB", func() *Config { c := TableI(); c.L3SizeKB = 1; return c }()},
+		{"setless L1", "L1SizeKB", func() *Config { c := TableI(); c.L1Ways = 1000; return c }()},
+		{"huge RSEP base", "RSEP.TAGE.BaseEntries", rsepWith(func(r *rsep.Config) { r.TAGE.BaseEntries = 1 << 40 })},
+		{"empty RSEP tagged", "RSEP.TAGE.TaggedEntries", rsepWith(func(r *rsep.Config) { r.TAGE.TaggedEntries = 0 })},
+		{"huge FIFO", "RSEP.HistEntries", rsepWith(func(r *rsep.Config) { r.HistEntries = MaxSize + 1 })},
+		{"negative ISRB", "RSEP.ISRBEntries", rsepWith(func(r *rsep.Config) { r.ISRBEntries = -1 })},
+		{"too many RSEP components", "RSEP.TAGE", rsepWith(func(r *rsep.Config) {
+			r.TAGE.TagBits = make([]int, predictor.MaxComponents+1)
+			r.TAGE.HistLens = make([]int, predictor.MaxComponents+1)
+			for i := range r.TAGE.HistLens {
+				r.TAGE.HistLens[i] = 1
+			}
+		})},
+		{"history per component", "RSEP.TAGE", rsepWith(func(r *rsep.Config) { r.TAGE.HistLens = r.TAGE.HistLens[:2] })},
+		{"history too long", "RSEP.TAGE", rsepWith(func(r *rsep.Config) { r.TAGE.HistLens[0] = predictor.MaxHistoryBits + 1 })},
+		{"huge LVT", "VP.LVTEntries", vpWith(func(v *vpred.Config) { v.LVTEntries = MaxSize + 1 })},
+		{"too many VP components", "VP", vpWith(func(v *vpred.Config) {
+			v.TagBits = append(v.TagBits, 1, 1, 1)
+			v.HistLens = append(v.HistLens, 1, 1, 1)
+		})},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming %s", tc.name, err, tc.field)
+		}
+	}
+	at := TableI()
+	at.L3SizeKB = MaxSize
+	at.CommitWidth = MaxCommitWidth
+	at.IntPRegs, at.FPPRegs = uarch.NumIntRegs+1, uarch.NumFPRegs+1
+	at.L1SizeKB, at.L1Ways = 1, 1024/cache.LineBytes
+	if err := at.Validate(); err != nil {
+		t.Errorf("sizes at their limits rejected: %v", err)
 	}
 }

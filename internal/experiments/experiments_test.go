@@ -230,3 +230,60 @@ func TestUnknownBenchmark(t *testing.T) {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
+
+// validatingRunner answers every job with placeholder statistics after
+// checking that its config passes config.Validate.
+type validatingRunner struct {
+	t    *testing.T
+	name string
+	jobs int
+}
+
+func (v *validatingRunner) RunBatch(_ context.Context, b runner.Batch) ([]runner.Result, error) {
+	res := make([]runner.Result, len(b.Jobs))
+	for i, j := range b.Jobs {
+		if err := j.Config.Validate(); err != nil {
+			v.t.Errorf("%s: job %d config rejected: %v", v.name, i, err)
+		}
+		res[i] = runner.Result{Job: j, Stats: &metrics.Stats{Cycles: 2, Committed: 1}}
+	}
+	v.jobs += len(b.Jobs)
+	return res, nil
+}
+
+// TestBuiltConfigsValidate pins config.Validate's bounds against the
+// configs the repo itself runs: every wire preset and every config the ten
+// figure runners build must pass.
+func TestBuiltConfigsValidate(t *testing.T) {
+	for _, name := range runner.Presets() {
+		j, err := runner.JobSpec{Bench: "mcf", Preset: name, Measure: 1}.Job()
+		if err != nil {
+			t.Fatalf("preset %s: %v", name, err)
+		}
+		if err := j.Config.Validate(); err != nil {
+			t.Errorf("preset %s rejected: %v", name, err)
+		}
+	}
+	for name, run := range map[string]func(context.Context, Options) (*metrics.Table, error){
+		"fig1":        Figure1,
+		"fig4":        Figure4,
+		"fig5":        Figure5,
+		"fig6":        Figure6,
+		"fig7":        Figure7,
+		"hist":        HistoryDepth,
+		"isrb":        ISRBSweep,
+		"hash":        HashWidth,
+		"comparators": Comparators,
+		"gshare":      GShareVsTAGE,
+	} {
+		v := &validatingRunner{t: t, name: name}
+		opt := tiny("mcf")
+		opt.Runner = v
+		if _, err := run(t.Context(), opt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if v.jobs == 0 {
+			t.Errorf("%s submitted no jobs", name)
+		}
+	}
+}

@@ -18,8 +18,7 @@ import (
 // natural grain.
 //
 // The stream starts with the config's seedless hash and seed so Restore can
-// refuse a checkpoint taken under different machine geometry, mirroring
-// ResetFor's refusal contract.
+// refuse a checkpoint taken under a different machine geometry or seed.
 func (c *Core) Checkpoint(w io.Writer) error {
 	if c.cfgKey == "" {
 		c.cfgKey = c.cfg.SeedlessHash()
@@ -132,9 +131,9 @@ func (c *Core) Checkpoint(w io.Writer) error {
 }
 
 // Restore rewinds the core to a checkpointed state, reusing every table and
-// arena already allocated. Like ResetFor it refuses (with an error) unless
-// cfg describes the same machine geometry and seed the checkpoint was taken
-// under; src must be a fresh instance of the same instruction source the
+// arena already allocated. It refuses (with an error) unless cfg describes
+// the machine geometry of the core's last New or ResetFor and both match the
+// geometry and seed the checkpoint was taken under; src must be a fresh instance of the same instruction source the
 // checkpointed run consumed, positioned at its first instruction — the trace
 // window is re-derived from it rather than stored.
 func (c *Core) Restore(cfg *config.Config, src trace.Source, r io.Reader) error {

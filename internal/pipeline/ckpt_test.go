@@ -76,9 +76,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusals pins the refusal contract, mirroring ResetFor: a
-// checkpoint only restores under the exact machine geometry and seed it was
-// taken with, and any corruption surfaces as an error, never as silent state.
+// TestCheckpointRefusals pins the refusal contract: a checkpoint only
+// restores under the exact machine geometry and seed it was taken with, and
+// any corruption surfaces as an error, never as silent state.
 func TestCheckpointRefusals(t *testing.T) {
 	cfg := config.TableI()
 	core := New(cfg, workload.New(workload.MustByName("mcf"), 7))

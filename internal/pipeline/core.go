@@ -18,14 +18,12 @@ import (
 	"rsepsim/internal/branch"
 	"rsepsim/internal/cache"
 	"rsepsim/internal/config"
-	"rsepsim/internal/dram"
 	"rsepsim/internal/metrics"
 	"rsepsim/internal/predictor"
 	"rsepsim/internal/regfile"
 	"rsepsim/internal/rsep"
 	"rsepsim/internal/storeset"
 	"rsepsim/internal/trace"
-	"rsepsim/internal/uarch"
 	"rsepsim/internal/vpred"
 )
 
@@ -68,7 +66,7 @@ type ringEnt struct {
 // Core is the simulated processor.
 type Core struct {
 	cfg    *config.Config
-	cfgKey string // lazy config.SeedlessHash of cfg (see ResetFor)
+	cfgKey string // config.SeedlessHash of cfg, computed on first use by Checkpoint/Restore
 	src    *trace.Replay
 	stats  metrics.Stats
 	cycle  uint64
@@ -159,146 +157,12 @@ type Core struct {
 	cancel <-chan struct{}
 }
 
-// New builds a core over the given instruction source.
+// New builds a core over the given instruction source. It is ResetFor on an
+// empty Core: with no components to reuse, every one the config needs is
+// built, so fresh construction and worker reuse share one code path.
 func New(cfg *config.Config, src trace.Source) *Core {
-	rngSrc := newCountingSource(cfg.Seed)
-	rng := rand.New(rngSrc)
-	c := &Core{
-		cfg:          cfg,
-		src:          trace.NewReplay(src),
-		rng:          rng,
-		rngSrc:       rngSrc,
-		bp:           branch.New(rng),
-		rat:          regfile.NewRAT(uarch.NumArchRegs),
-		prf:          regfile.NewFile(cfg.IntPRegs, cfg.FPPRegs),
-		ss:           storeset.New(cfg.SSITEntries, cfg.LFSTEntries),
-		fetchBlocked: noDyn,
-	}
-	c.epochs = make([]uint32, c.prf.Size())
-	for i := range c.evtHead {
-		c.evtHead[i] = noDyn
-		c.evtTail[i] = noDyn
-	}
-	// Size the arena for the steady-state inflight window (ROB + front-end
-	// queue); squash-stranded records with pending events can still grow it.
-	c.darena = make([]dyn, 0, cfg.ROBSize+cfg.FetchQueue+64)
-	c.hot = make([]hotState, 0, cfg.ROBSize+cfg.FetchQueue+64)
-
-	// Carve every wake-wheel slot out of one backing array with a fixed
-	// per-slot capacity. Measured high-water occupancy (live plus stale refs
-	// accumulated over one wheel revolution) stays at or under 16 across the
-	// workload suite, so with this reserve the slots essentially never grow —
-	// without it the 1024 slices grow from nil with a months-long tail of
-	// high-water-mark appends that shows up as steady-state allocation in the
-	// pipeline benchmarks. The three-index slices keep appends beyond the
-	// reserve from bleeding into the next slot: an outlier reallocates its
-	// slot independently and keeps the larger capacity from then on.
-	const wakeSlotReserve = 16
-	wakeBacking := make([]wakeRef, wheelSize*wakeSlotReserve)
-	for i := range c.wakeSlots {
-		lo := i * wakeSlotReserve
-		c.wakeSlots[i] = wakeBacking[lo : lo : lo+wakeSlotReserve]
-	}
-
-	// Initial architectural mappings.
-	for a := 0; a < uarch.NumArchRegs; a++ {
-		p, ok := c.prf.Alloc(uarch.Reg(a).IsFP())
-		if !ok {
-			panic("pipeline: not enough physical registers for architectural state")
-		}
-		c.prf.SetValue(p, 0)
-		c.prf.SetReadyAt(p, 0)
-		c.rat.Set(a, p)
-	}
-
-	// Memory hierarchy (NewHierarchy wires innermost last).
-	c.mh = cache.NewHierarchy(cache.HierarchyConfig{
-		L1I: cache.Config{
-			Name: "L1I", SizeKB: cfg.L1SizeKB, Ways: cfg.L1Ways,
-			Latency: cfg.L1ILatency, MSHRs: 8,
-		},
-		L1D: cache.Config{
-			Name: "L1D", SizeKB: cfg.L1SizeKB, Ways: cfg.L1Ways,
-			Latency: cfg.L1DLatency, MSHRs: cfg.MSHRs,
-			Prefetch: cache.NewStride(256, 1),
-		},
-		L2: cache.Config{
-			Name: "L2", SizeKB: cfg.L2SizeKB, Ways: cfg.L2Ways,
-			Latency: cfg.L2Latency - cfg.L1DLatency, MSHRs: cfg.MSHRs,
-			Prefetch: cache.NewStream(16, 1),
-		},
-		L3: cache.Config{
-			Name: "L3", SizeKB: cfg.L3SizeKB, Ways: cfg.L3Ways,
-			Latency: cfg.L3Latency - cfg.L2Latency, MSHRs: cfg.MSHRs,
-			Prefetch: cache.NewStream(16, 1),
-		},
-		ITLBEntries: cfg.ITLBEntries,
-		DTLBEntries: cfg.DTLBEntries,
-		TLBWalkLat:  cfg.TLBWalkLat,
-		DRAM:        dram.NewDDR4_2400(cfg.CPUFreqGHz),
-	})
-
-	// Issue ports per Table I: 4 ALU (one with Mul, one with Div), 3 FP
-	// (one FPMul, one FPDiv), 2 load/store, 1 store.
-	c.ports = []port{
-		{caps: fuALU | fuBranch},
-		{caps: fuALU | fuMul | fuBranch},
-		{caps: fuALU | fuDiv | fuBranch},
-		{caps: fuALU | fuBranch},
-		{caps: fuFP},
-		{caps: fuFP | fuFPMul},
-		{caps: fuFP | fuFPDiv},
-		{caps: fuLoad | fuStore},
-		{caps: fuLoad | fuStore},
-		{caps: fuStore},
-	}
-
-	if cfg.RSEP != nil {
-		rc := *cfg.RSEP
-		c.rsepCfg = &rc
-		switch rc.Predictor {
-		case rsep.PredGShare:
-			c.distPred = rsep.NewGShareDist(4096, 4096, 16, 8,
-				rc.TAGE.UsePredThreshold, rc.TAGE.StartTrainThreshold, nil)
-		default:
-			c.distPred = rsep.NewTAGEDist(rc.TAGE, nil, rng)
-		}
-		c.distHist = predictor.NewGlobalHistory(c.distPred.HistoryLengths(), c.distPred.HistoryWidths())
-		switch rc.Pairer {
-		case rsep.PairDDT:
-			n := rc.DDTEntries
-			if n == 0 {
-				n = 8192 // the paper's "unrealistic 16KB DDT"
-			}
-			c.pairer = rsep.NewDDT(n, 10)
-		default:
-			c.pairer = rsep.NewFIFOHistory(rc.HistEntries, rc.HashBits, 10)
-		}
-		if rc.ZeroPred {
-			n := rc.ZeroPredEntries
-			if n == 0 {
-				n = 4096
-			}
-			c.zp = rsep.NewZeroPredictor(n, rc.TAGE.UsePredThreshold, nil)
-		}
-		c.isrb = regfile.NewISRB(rc.ISRBEntries, rc.ISRBCounterBits)
-		c.hrf = rsep.NewHRF(c.prf.Size(), uint(rc.HashBits))
-	} else {
-		c.isrb = regfile.NewISRB(0, 6) // move elimination still needs refcounts
-	}
-	if cfg.ZeroPred && c.zp == nil {
-		c.zp = rsep.NewZeroPredictor(4096, 255, nil)
-	}
-
-	if cfg.VP != nil {
-		c.vp = vpred.New(*cfg.VP, nil, rng)
-		c.vpHist = predictor.NewGlobalHistory(c.vp.HistoryLengths(), c.vp.HistoryWidths())
-	}
-
-	if cfg.OracleProbe {
-		c.valCount = make(map[uint64]int)
-		c.valWritten = make([]bool, c.prf.Size())
-	}
+	c := &Core{}
+	c.ResetFor(cfg, src)
 	return c
 }
 

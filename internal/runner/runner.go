@@ -93,10 +93,10 @@ func Simulate(ctx context.Context, j Job) (*metrics.Stats, error) {
 // by a benchmark name); named benchmarks should go through Simulate or a
 // Scheduler instead.
 //
-// The core comes from (and returns to) the geometry-keyed pool in
-// corepool.go, so a warm worker pays a wholesale reset instead of table
-// construction per job. The returned Stats are a copy — the core's own
-// counters are recycled with it.
+// The core comes from (and returns to) the idle-core pool in corepool.go,
+// so a warm worker pays an in-place reset, plus the tables of any mechanism
+// the previous job did not run, instead of table construction per job. The
+// returned Stats are a copy — the core's own counters are recycled with it.
 func SimulateSource(ctx context.Context, cfg *config.Config, src trace.Source, warmup, measure uint64) (*metrics.Stats, error) {
 	core, key := coreFor(cfg, src)
 	if ctx != nil {

@@ -15,6 +15,8 @@ import (
 
 	"rsepsim/internal/config"
 	"rsepsim/internal/metrics"
+	"rsepsim/internal/predictor"
+	"rsepsim/internal/rsep"
 	"rsepsim/internal/runner"
 	"rsepsim/internal/store"
 )
@@ -236,6 +238,47 @@ func TestBatchValidationRejected(t *testing.T) {
 	}
 	if ae.Code != CodeInvalidSpec || ae.Status != http.StatusBadRequest {
 		t.Fatalf("got code %q status %d, want %q 400", ae.Code, ae.Status, CodeInvalidSpec)
+	}
+}
+
+// TestOversizedInlineConfigRejected: inline configs that would take the
+// daemon down or fail the job in the core — a cache asking for hundreds of
+// GiB (a fatal out-of-memory no recover can catch), more TAGE components
+// than the predictor supports or a commit group wider than the statistics
+// record (panics) — are 400 invalid_spec at admission, never reach an
+// executor, and leave the daemon serving.
+func TestOversizedInlineConfigRejected(t *testing.T) {
+	cl, _, _ := newDaemon(t, func(ctx context.Context, j runner.Job) (*metrics.Stats, error) {
+		t.Errorf("oversized config reached the executor: %+v", j.Config)
+		return &metrics.Stats{Cycles: 1, Committed: 1}, nil
+	})
+	hugeL3 := config.TableI()
+	hugeL3.L3SizeKB = 1 << 30
+	rc := rsep.Ideal()
+	for len(rc.TAGE.TagBits) <= predictor.MaxComponents {
+		rc.TAGE.TagBits = append(rc.TAGE.TagBits, 18)
+		rc.TAGE.HistLens = append(rc.TAGE.HistLens, 64)
+	}
+	wide := config.TableI()
+	wide.CommitWidth = config.MaxCommitWidth + 1
+	for name, cfg := range map[string]*config.Config{
+		"L3SizeKB":    hugeL3,
+		"RSEP.TAGE":   config.TableI().WithRSEP(rc),
+		"CommitWidth": wide,
+	} {
+		_, err := cl.RunBatch(t.Context(), runner.Batch{Jobs: []runner.Job{
+			{Bench: "mcf", Config: cfg, Seed: 1, Warmup: 10, Measure: 10},
+		}})
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Code != CodeInvalidSpec || ae.Status != http.StatusBadRequest {
+			t.Fatalf("%s: err = %v, want a 400 %s", name, err, CodeInvalidSpec)
+		}
+		if !strings.Contains(ae.Error(), name) {
+			t.Errorf("%s: rejection %q does not name the field", name, ae.Error())
+		}
+		if err := cl.Healthz(t.Context()); err != nil {
+			t.Fatalf("%s: daemon unhealthy after the rejection: %v", name, err)
+		}
 	}
 }
 

@@ -23,12 +23,14 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -79,9 +81,16 @@ func (f keyFields) key() runner.Key {
 // ID returns the content address of k: the hex SHA-256 of its canonical
 // field serialization. Two keys collide only if SHA-256 does.
 func ID(k runner.Key) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d\x00%d", k.Bench, k.ConfigHash, k.Seed, k.Warmup, k.Measure)
-	return hex.EncodeToString(h.Sum(nil))
+	b := make([]byte, 0, 128)
+	b = append(append(b, k.Bench...), 0)
+	b = append(append(b, k.ConfigHash...), 0)
+	b = append(strconv.AppendInt(b, k.Seed, 10), 0)
+	b = append(strconv.AppendUint(b, k.Warmup, 10), 0)
+	b = strconv.AppendUint(b, k.Measure, 10)
+	sum := sha256.Sum256(b)
+	var id [2 * sha256.Size]byte
+	hex.Encode(id[:], sum[:])
+	return string(id[:])
 }
 
 // Disk is a persistent result store rooted at one directory. It is safe for
@@ -155,11 +164,18 @@ func (d *Disk) Get(k runner.Key) (*metrics.Stats, bool) {
 // stats and envelope. A missing file returns an os.IsNotExist error; any
 // other failure means the entry exists but is unusable.
 func (d *Disk) load(k runner.Key) (*metrics.Stats, *envelope, error) {
-	raw, err := os.ReadFile(d.path(ID(k)))
+	f, err := os.Open(d.path(ID(k)))
 	if err != nil {
 		return nil, nil, err
 	}
-	env, st, err := decodeEntry(raw)
+	defer f.Close()
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, nil, err
+	}
+	env, st, err := decodeEntry(buf.Bytes())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,6 +184,11 @@ func (d *Disk) load(k runner.Key) (*metrics.Stats, *envelope, error) {
 	}
 	return st, env, nil
 }
+
+// readBufs recycles load's read buffers: decodeEntry copies everything it
+// returns out of the raw bytes, and a run answered from the store reads one
+// entry per job.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // decodeEntry parses and integrity-checks one envelope: schema, checksum
 // over the raw stats bytes, and a stats decode.
@@ -180,7 +201,8 @@ func decodeEntry(raw []byte) (*envelope, *metrics.Stats, error) {
 		return nil, nil, fmt.Errorf("store: schema %d, want %d", env.Schema, Schema)
 	}
 	sum := sha256.Sum256(env.Stats)
-	if got := hex.EncodeToString(sum[:]); got != env.StatsSHA {
+	var got [2 * sha256.Size]byte
+	if hex.Encode(got[:], sum[:]); string(got[:]) != env.StatsSHA {
 		return nil, nil, fmt.Errorf("store: stats checksum mismatch")
 	}
 	var st metrics.Stats

@@ -568,6 +568,20 @@ func TestStoreKeyStability(t *testing.T) {
 	if ID(k2) == id {
 		t.Fatal("seed does not affect ID")
 	}
+	for _, c := range []struct {
+		k  runner.Key
+		id string
+	}{
+		{k, "454f120e20f88eb3f5d605b59afb798fb60e88c79f26df0c52a5d6851f566e14"},
+		{runner.Key{Bench: "hmmer", ConfigHash: "c0ffee", Seed: -7, Warmup: 30_000, Measure: 1 << 63}, "b4e276e1b382a8e51e2c3ee062fae2d38a476902b9879c0c72bc33dc038b207c"},
+	} {
+		if got := ID(c.k); got != c.id {
+			t.Errorf("ID(%+v) = %s, want %s", c.k, got, c.id)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ID(k) }); n > 1 {
+		t.Errorf("ID allocates %v times, want 1 (the id)", n)
+	}
 }
 
 // TestTieredWarm: Warm preloads every disk entry into the memory tier
