@@ -146,21 +146,34 @@ func TableI() *Config {
 // hundreds of GB.
 const MaxSize = 1 << 16
 
+// MaxLatency is the ceiling, in cycles, on every latency a config sets:
+// execution, store-to-load forwarding, cache and TLB-walk latencies and the
+// BTB miss penalty. It is about 40x the longest Table I latency (a 30-cycle
+// TLB walk); with every latency at MaxLatency a job takes about twice as
+// long per instruction as on Table I, where 2^16 cycles made it 50x slower.
+const MaxLatency = 1 << 10
+
+// MaxCPUFreqGHz is the ceiling on CPUFreqGHz, about 30x Table I's 3.2 GHz. The
+// clock converts DRAM timings from nanoseconds to core cycles, so a faster
+// one makes every DRAM access proportionally longer to simulate.
+const MaxCPUFreqGHz = 100
+
 // MaxCommitWidth is the widest commit group the statistics can record: the
 // commit-group histogram has one bucket per group size 0..MaxCommitWidth.
 const MaxCommitWidth = len(metrics.Stats{}.CommitEligibleHist) - 1
 
 // Validate rejects configurations the pipeline cannot be built on: every
 // structural width, window, register count, cache geometry and frequency
-// must be positive, every size at most MaxSize, CommitWidth at most
+// must be positive, every size at most MaxSize, every latency at most
+// MaxLatency, the clock at most MaxCPUFreqGHz, CommitWidth at most
 // MaxCommitWidth, each register class larger than its architectural
 // registers, each cache level at least one set deep, and the RSEP and VP
 // predictors' tables non-empty with at most predictor.MaxComponents tagged
 // components of one history length each. Configs assembled from TableI and
 // the With* derivations always pass; the check guards the wire surface,
 // where an inline config must not be able to exhaust a serving process's
-// memory or panic the core it is built on. Latencies and the clock are
-// checked for sign only, so a huge one still makes a job run for very long.
+// memory, panic the core it is built on, or make a short job run for
+// minutes.
 func (c *Config) Validate() error {
 	type field struct {
 		name string
@@ -232,8 +245,26 @@ func (c *Config) Validate() error {
 	if c.BTBMissPenalty < 0 {
 		return fmt.Errorf("config: BTBMissPenalty must be non-negative, got %d", c.BTBMissPenalty)
 	}
+	for _, l := range []struct {
+		name string
+		v    uint64
+	}{
+		{"IntAluLat", c.IntAluLat}, {"IntMulLat", c.IntMulLat}, {"IntDivLat", c.IntDivLat},
+		{"FPAluLat", c.FPAluLat}, {"FPMulLat", c.FPMulLat}, {"FPDivLat", c.FPDivLat},
+		{"STLFLat", c.STLFLat},
+		{"L1ILatency", c.L1ILatency}, {"L1DLatency", c.L1DLatency},
+		{"L2Latency", c.L2Latency}, {"L3Latency", c.L3Latency},
+		{"TLBWalkLat", c.TLBWalkLat}, {"BTBMissPenalty", uint64(c.BTBMissPenalty)},
+	} {
+		if l.v > MaxLatency {
+			return fmt.Errorf("config: %s must be at most %d cycles, got %d", l.name, MaxLatency, l.v)
+		}
+	}
 	if c.CPUFreqGHz <= 0 {
 		return fmt.Errorf("config: CPUFreqGHz must be positive, got %g", c.CPUFreqGHz)
+	}
+	if !(c.CPUFreqGHz <= MaxCPUFreqGHz) { // also refuses NaN
+		return fmt.Errorf("config: CPUFreqGHz must be at most %d, got %g", MaxCPUFreqGHz, c.CPUFreqGHz)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package config
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -233,5 +235,51 @@ func TestValidateBounds(t *testing.T) {
 	at.L1SizeKB, at.L1Ways = 1, 1024/cache.LineBytes
 	if err := at.Validate(); err != nil {
 		t.Errorf("sizes at their limits rejected: %v", err)
+	}
+}
+
+// TestValidateLatencyBounds: every latency field — each uint64 field of
+// Config, plus BTBMissPenalty — is refused one cycle past MaxLatency and
+// accepted at it, and the clock is refused past MaxCPUFreqGHz (or NaN) and
+// accepted at it. A latency field added later without a bound fails here.
+func TestValidateLatencyBounds(t *testing.T) {
+	var lats []string
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[Config]()) {
+		if f.Type.Kind() == reflect.Uint64 || f.Name == "BTBMissPenalty" {
+			lats = append(lats, f.Name)
+		}
+	}
+	if len(lats) != 13 {
+		t.Fatalf("found %d latency fields, want 13: %v", len(lats), lats)
+	}
+	set := func(c *Config, name string, v uint64) *Config {
+		f := reflect.ValueOf(c).Elem().FieldByName(name)
+		if f.Kind() == reflect.Int {
+			f.SetInt(int64(v))
+		} else {
+			f.SetUint(v)
+		}
+		return c
+	}
+	at := TableI()
+	for _, name := range lats {
+		if err := set(TableI(), name, MaxLatency+1).Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s = %d: Validate() = %v, want an error naming %s", name, MaxLatency+1, err, name)
+		}
+		if err := set(TableI(), name, MaxLatency).Validate(); err != nil {
+			t.Errorf("%s = %d rejected: %v", name, MaxLatency, err)
+		}
+		set(at, name, MaxLatency)
+	}
+	at.CPUFreqGHz = MaxCPUFreqGHz
+	if err := at.Validate(); err != nil {
+		t.Errorf("every latency and the clock at their limits rejected: %v", err)
+	}
+	for _, ghz := range []float64{MaxCPUFreqGHz * 1.01, 1e12, math.Inf(1), math.NaN(), 0, -1} {
+		c := TableI()
+		c.CPUFreqGHz = ghz
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "CPUFreqGHz") {
+			t.Errorf("CPUFreqGHz = %g: Validate() = %v, want an error naming CPUFreqGHz", ghz, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"slices"
 	"sync"
+	"time"
 
 	"rsepsim/internal/config"
 	"rsepsim/internal/pipeline"
@@ -26,14 +27,23 @@ import (
 // idle, so the pool holds about as many cores as jobs ever ran at once.
 const corePoolMax = 8
 
+// coreIdleTTL is how long an idle core is kept: long enough that a sweep
+// in progress keeps a core between two jobs on its machine, short enough
+// that a process that stops simulating — a daemon between bursts, a sweep
+// the store answers — soon gives its cores back. A core is several MB, and
+// hundreds at the largest sizes config.Validate admits.
+const coreIdleTTL = 10 * time.Second
+
 type idleCore struct {
-	key  string // config.SeedlessHash of the config the core last ran
-	core *pipeline.Core
+	key   string // config.SeedlessHash of the config the core last ran
+	core  *pipeline.Core
+	since time.Time // when the core was returned
 }
 
 var corePool struct {
 	mu   sync.Mutex
-	idle []idleCore // oldest returned first
+	idle []idleCore  // oldest returned first
+	trim *time.Timer // armed while any core is idle
 }
 
 // coreFor returns a core ready to simulate cfg over src — an idle core reset
@@ -60,11 +70,29 @@ func coreFor(cfg *config.Config, src trace.Source) (*pipeline.Core, string) {
 }
 
 // putCore returns a healthy core to the pool, which keeps at most
-// corePoolMax idle cores.
+// corePoolMax idle cores, each for at most coreIdleTTL.
 func putCore(key string, core *pipeline.Core) {
 	corePool.mu.Lock()
+	defer corePool.mu.Unlock()
 	if len(corePool.idle) < corePoolMax {
-		corePool.idle = append(corePool.idle, idleCore{key, core})
+		corePool.idle = append(corePool.idle, idleCore{key, core, time.Now()})
 	}
-	corePool.mu.Unlock()
+	if corePool.trim == nil {
+		corePool.trim = time.AfterFunc(coreIdleTTL, trimCores)
+	}
+}
+
+// trimCores drops the cores idle for coreIdleTTL or longer and re-arms the
+// timer for the oldest one left.
+func trimCores() {
+	corePool.mu.Lock()
+	defer corePool.mu.Unlock()
+	now := time.Now()
+	corePool.idle = slices.DeleteFunc(corePool.idle, func(e idleCore) bool {
+		return now.Sub(e.since) >= coreIdleTTL
+	})
+	corePool.trim = nil
+	if len(corePool.idle) > 0 {
+		corePool.trim = time.AfterFunc(coreIdleTTL-now.Sub(corePool.idle[0].since), trimCores)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"rsepsim/internal/config"
 	"rsepsim/internal/pipeline"
@@ -53,5 +54,43 @@ func TestCorePoolReusesAcrossMechanisms(t *testing.T) {
 			t.Errorf("job %d allocated %d bytes, want at most %d (an exact-match job) + %d (a quarter of a pipeline.New)",
 				i, n, floor, budget)
 		}
+	}
+}
+
+// TestCorePoolDropsIdleCores: the pool keeps an idle core for coreIdleTTL
+// and no longer, and its trim timer is armed exactly while a core is idle.
+func TestCorePoolDropsIdleCores(t *testing.T) {
+	corePool.mu.Lock()
+	corePool.idle = nil // drop what earlier tests left idle
+	if corePool.trim != nil {
+		corePool.trim.Stop()
+		corePool.trim = nil
+	}
+	corePool.mu.Unlock()
+	cfg := config.TableI()
+	src := workload.New(workload.MustByName("mcf"), 1)
+	stale, key := coreFor(cfg, src)
+	core, _ := coreFor(cfg, src)
+	putCore(key, stale)
+	putCore(key, core)
+
+	corePool.mu.Lock()
+	if corePool.trim == nil {
+		t.Error("no trim timer armed with two idle cores")
+	}
+	corePool.idle[0].since = time.Now().Add(-coreIdleTTL) // stale has idled its TTL out
+	corePool.mu.Unlock()
+	trimCores()
+	corePool.mu.Lock()
+	if len(corePool.idle) != 1 || corePool.idle[0].core != core || corePool.trim == nil {
+		t.Errorf("after a trim: %d idle cores (want only the fresh one), timer armed %v", len(corePool.idle), corePool.trim != nil)
+	}
+	corePool.idle[0].since = time.Now().Add(-coreIdleTTL)
+	corePool.mu.Unlock()
+	trimCores()
+	corePool.mu.Lock()
+	defer corePool.mu.Unlock()
+	if len(corePool.idle) != 0 || corePool.trim != nil {
+		t.Errorf("after the last core's TTL: %d idle cores, timer armed %v; want none and no timer", len(corePool.idle), corePool.trim != nil)
 	}
 }

@@ -57,10 +57,14 @@ type Key struct {
 }
 
 // Key returns the job's cache/dedup key.
-func (j Job) Key() Key {
+func (j Job) Key() Key { return j.keyWith(j.Config.SeedlessHash()) }
+
+// keyWith returns the job's key given its config's SeedlessHash, so a batch
+// that shares one config among many jobs hashes it once.
+func (j Job) keyWith(configHash string) Key {
 	return Key{
 		Bench:      j.Bench,
-		ConfigHash: j.Config.SeedlessHash(),
+		ConfigHash: configHash,
 		Seed:       j.Seed,
 		Warmup:     j.Warmup,
 		Measure:    j.Measure,

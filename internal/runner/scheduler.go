@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rsepsim/internal/config"
 	"rsepsim/internal/metrics"
 )
 
@@ -16,8 +17,9 @@ import (
 // that cannot cross a wire (the progress callback).
 type Batch struct {
 	Jobs []Job
-	// Parallelism bounds how many of this batch's jobs run concurrently;
-	// <= 0 means no per-batch bound (the scheduler's global bound applies).
+	// Parallelism bounds how many of this batch's jobs run, and how many of
+	// its store lookups run, concurrently; <= 0 means no per-batch bound
+	// (the scheduler's global bound applies).
 	Parallelism int
 	// OnProgress, when non-nil, observes every job completion of this batch.
 	// Calls are serialized per batch; the callback must not submit to the
@@ -96,8 +98,8 @@ func (e *JobFailure) Unwrap() error { return e.Err }
 
 // SchedulerOptions configures a Scheduler.
 type SchedulerOptions struct {
-	// Parallelism bounds concurrently executing jobs across all batches;
-	// <= 0 means NumCPU.
+	// Parallelism bounds concurrently executing jobs across all batches,
+	// and each batch's concurrent store lookups; <= 0 means NumCPU.
 	Parallelism int
 	// Store, when non-nil, is consulted before every execution and written
 	// after every successful one. Sharing one Store across schedulers (or
@@ -112,9 +114,10 @@ type SchedulerOptions struct {
 // number of concurrent batch submissions. It coalesces equal-key jobs within
 // a batch, deduplicates them across in-flight batches (cross-request
 // single-flight), and resolves store hits without touching the executor.
-// Each RunBatch call works off its own misses in submission order on
-// goroutines it owns, and a job executes only while it holds one of the
-// scheduler's Parallelism slots, so an idle scheduler owns no goroutines.
+// Each RunBatch call first looks its groups up in the store, then works off
+// its misses in submission order, both on goroutines it owns; a job executes
+// only while it holds one of the scheduler's Parallelism slots, so an idle
+// scheduler owns no goroutines.
 type Scheduler struct {
 	exec  Executor
 	store Store // nil: never hits, counts nothing
@@ -276,10 +279,17 @@ func (s *Scheduler) RunBatch(ctx context.Context, b Batch) ([]Result, error) {
 		onSlice: b.OnSlice,
 	}
 
-	// Coalesce identical jobs, preserving first-appearance order.
+	// Coalesce identical jobs, preserving first-appearance order. A batch
+	// shares a few configs among many jobs, so each config is hashed once.
+	hashes := make(map[*config.Config]string)
 	byKey := make(map[Key]*group, len(b.Jobs))
 	for i, j := range b.Jobs {
-		k := j.Key()
+		h, ok := hashes[j.Config]
+		if !ok {
+			h = j.Config.SeedlessHash()
+			hashes[j.Config] = h
+		}
+		k := j.keyWith(h)
 		g := byKey[k]
 		if g == nil {
 			g = &group{key: k}
@@ -292,22 +302,50 @@ func (s *Scheduler) RunBatch(ctx context.Context, b Batch) ([]Result, error) {
 	s.jobs.Add(uint64(len(b.Jobs)))
 
 	// Store first: groups already answered by it never reach a worker.
-	var misses []*group
-	for _, g := range br.groups {
-		if s.store != nil {
-			if st, ok := s.store.Get(g.key); ok {
-				br.finish(g, st, true, nil)
-				continue
-			}
-		}
-		misses = append(misses, g)
+	misses := br.groups
+	if s.store != nil {
+		misses = s.lookup(br, b.Parallelism)
 	}
 
-	workers := min(len(misses), cap(s.slots))
-	if b.Parallelism > 0 {
-		workers = min(workers, b.Parallelism)
-	}
 	s.queued.Add(int64(len(misses)))
+	s.spread(len(misses), b.Parallelism, func(i int) {
+		s.queued.Add(-1)
+		st, err := s.resolve(br, misses[i])
+		br.finish(misses[i], st, false, err)
+	})
+
+	return results, br.finalError()
+}
+
+// lookup answers br's groups from the store, finishing every hit, and
+// returns the missed groups in submission order. It returns before any miss
+// executes, so no hit waits behind a simulation.
+func (s *Scheduler) lookup(br *batchRun, batchPar int) []*group {
+	hit := make([]bool, len(br.groups))
+	s.spread(len(br.groups), batchPar, func(i int) {
+		g := br.groups[i]
+		if st, ok := s.store.Get(g.key); ok {
+			br.finish(g, st, true, nil)
+			hit[i] = true
+		}
+	})
+	var misses []*group
+	for i, g := range br.groups {
+		if !hit[i] {
+			misses = append(misses, g)
+		}
+	}
+	return misses
+}
+
+// spread calls fn for every index in [0, n), taken in increasing order by
+// min(n, SchedulerOptions.Parallelism, batchPar) goroutines of the calling
+// batch (batchPar <= 0: no batch bound), and returns when every call has.
+func (s *Scheduler) spread(n, batchPar int, fn func(i int)) {
+	workers := min(n, cap(s.slots))
+	if batchPar > 0 {
+		workers = min(workers, batchPar)
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range workers {
@@ -316,18 +354,14 @@ func (s *Scheduler) RunBatch(ctx context.Context, b Batch) ([]Result, error) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(misses) {
+				if i >= n {
 					return
 				}
-				s.queued.Add(-1)
-				st, err := s.resolve(br, misses[i])
-				br.finish(misses[i], st, false, err)
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-
-	return results, br.finalError()
 }
 
 // resolve produces the outcome of one missed group: it joins another batch's

@@ -325,3 +325,276 @@ func TestCancellationLeavesNoGoroutines(t *testing.T) {
 	t.Run("cancelled waiting for a slot", TestCancelWhileWaitingForSlot)
 	waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
+
+// overlapStore is a Store over a Cache that records how many Gets overlap.
+// With wait set, each Get is held until two are in flight at once, or until
+// a deadline, which it records; otherwise each Get lingers briefly so an
+// overlapping one would show.
+type overlapStore struct {
+	*Cache
+	wait bool
+
+	mu        sync.Mutex
+	cur, peak int
+	timedOut  bool
+	both      chan struct{} // closed once two Gets were in flight, or on timeout
+	release   sync.Once
+}
+
+func newOverlapStore(wait bool) *overlapStore {
+	return &overlapStore{Cache: NewCache(), wait: wait, both: make(chan struct{})}
+}
+
+func (s *overlapStore) Get(k Key) (*metrics.Stats, bool) {
+	s.mu.Lock()
+	s.cur++
+	s.peak = max(s.peak, s.cur)
+	if s.cur == 2 {
+		s.release.Do(func() { close(s.both) })
+	}
+	s.mu.Unlock()
+	if s.wait {
+		select {
+		case <-s.both:
+		case <-time.After(2 * time.Second):
+			s.mu.Lock()
+			s.timedOut = true
+			s.mu.Unlock()
+			s.release.Do(func() { close(s.both) }) // release every later Get at once
+		}
+	} else {
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.Lock()
+	s.cur--
+	s.mu.Unlock()
+	return s.Cache.Get(k)
+}
+
+// TestStoreLookupsRunInParallel: a batch looks its groups up on up to
+// min(groups, Parallelism, Batch.Parallelism) goroutines of its own, so
+// two Gets are in flight at once on a Parallelism 2 scheduler, and none
+// overlap when the batch is bound to one.
+func TestStoreLookupsRunInParallel(t *testing.T) {
+	jobs := make([]Job, 8)
+	for i := range jobs {
+		jobs[i] = stubJob(int64(i + 1))
+	}
+	fill := func(st *overlapStore) {
+		for _, j := range jobs {
+			st.Cache.Put(j.Key(), stubStats(j.Seed), 0)
+		}
+	}
+	noExec := func(ctx context.Context, j Job) (*metrics.Stats, error) {
+		t.Errorf("job %d executed; every job is a store hit", j.Seed)
+		return stubStats(j.Seed), nil
+	}
+	check := func(res []Result) {
+		t.Helper()
+		for i, r := range res {
+			if r.Stats == nil || r.Stats.Cycles != uint64(jobs[i].Seed)*100 {
+				t.Fatalf("result %d = %+v", i, r.Stats)
+			}
+		}
+	}
+
+	par := newOverlapStore(true)
+	fill(par)
+	sched := NewScheduler(SchedulerOptions{Parallelism: 2, Store: par, Executor: noExec})
+	res, err := sched.RunBatch(context.Background(), Batch{Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(res)
+	if par.timedOut || par.peak != 2 {
+		t.Fatalf("peak overlapping Gets = %d (timed out: %v), want 2 in flight at once", par.peak, par.timedOut)
+	}
+
+	serial := newOverlapStore(false)
+	fill(serial)
+	sched = NewScheduler(SchedulerOptions{Parallelism: 4, Store: serial, Executor: noExec})
+	res, err = sched.RunBatch(context.Background(), Batch{Jobs: jobs, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(res)
+	if serial.peak != 1 {
+		t.Fatalf("peak overlapping Gets = %d with Batch.Parallelism 1, want 1", serial.peak)
+	}
+}
+
+// TestHitsNeverWaitForSimulations: in a batch mixing hits and misses,
+// every hit's result and progress arrive while the executor is still
+// blocked on the misses, and QueueDepth counts misses only.
+func TestHitsNeverWaitForSimulations(t *testing.T) {
+	const par = 2
+	cache := NewCache()
+	var jobs []Job
+	hit := map[int]bool{}
+	for i := range 12 {
+		j := stubJob(int64(i + 1))
+		if i%3 != 0 { // jobs 1, 2, 4, 5, ... are stored; 0, 3, 6, 9 miss
+			cache.Put(j.Key(), stubStats(j.Seed), 0)
+			hit[i] = true
+		}
+		jobs = append(jobs, j)
+	}
+	misses := len(jobs) - len(hit)
+
+	release := make(chan struct{})
+	sched := NewScheduler(SchedulerOptions{
+		Parallelism: par,
+		Store:       cache,
+		Executor: func(ctx context.Context, j Job) (*metrics.Stats, error) {
+			<-release
+			return stubStats(j.Seed), nil
+		},
+	})
+	var mu sync.Mutex
+	progressed := map[int]bool{}
+	out := make(chan error, 1)
+	var res []Result
+	go func() {
+		var err error
+		res, err = sched.RunBatch(context.Background(), Batch{
+			Jobs: jobs,
+			OnProgress: func(p Progress) {
+				mu.Lock()
+				defer mu.Unlock()
+				if p.CacheHit != hit[p.Index] {
+					t.Errorf("job %d: CacheHit = %v", p.Index, p.CacheHit)
+				}
+				if p.CacheHit && (p.Stats == nil || p.Stats.Cycles != uint64(jobs[p.Index].Seed)*100) {
+					t.Errorf("hit %d: stats %+v", p.Index, p.Stats)
+				}
+				progressed[p.Index] = true
+			},
+		})
+		out <- err
+	}()
+
+	waitFor(t, "the executor to block on the first misses", func() bool { return sched.Status().Running == par })
+	mu.Lock()
+	for i := range hit {
+		if !progressed[i] {
+			t.Errorf("hit %d has no progress while the misses simulate", i)
+		}
+	}
+	for i := range progressed {
+		if !hit[i] {
+			t.Errorf("miss %d finished before the executor was released", i)
+		}
+	}
+	mu.Unlock()
+	if st := sched.Status(); st.QueueDepth != misses-par || st.QueueDepth+st.Running != misses {
+		t.Errorf("QueueDepth %d, Running %d: want %d misses queued or running, hits not counted",
+			st.QueueDepth, st.Running, misses)
+	}
+
+	close(release)
+	if err := <-out; err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Stats == nil || r.Stats.Cycles != uint64(jobs[i].Seed)*100 {
+			t.Fatalf("result %d = %+v", i, r.Stats)
+		}
+	}
+	if c := cache.Counters(); c.Hits != uint64(len(hit)) || c.Misses != uint64(misses) {
+		t.Fatalf("counters %+v, want %d hits and %d misses", c, len(hit), misses)
+	}
+}
+
+// recordingStore is a Cache that also records the keys Put to it.
+type recordingStore struct {
+	*Cache
+	mu   sync.Mutex
+	puts []Key
+}
+
+func (s *recordingStore) Put(k Key, st *metrics.Stats, d time.Duration) {
+	s.mu.Lock()
+	s.puts = append(s.puts, k)
+	s.mu.Unlock()
+	s.Cache.Put(k, st, d)
+}
+
+// TestBatchKeysMatchJobKey: the scheduler hashes each config once per
+// batch, and the keys it builds group, count and store exactly as Job.Key
+// does: one shared *Config, equal configs behind different pointers (one
+// differing only in its seed, which keys leave out), and different seeds,
+// benchmarks and configs.
+func TestBatchKeysMatchJobKey(t *testing.T) {
+	shared := config.TableI()
+	twin := config.TableI()
+	reseeded := config.TableI()
+	reseeded.Seed = 42
+	other := config.TableI().WithZeroPred()
+	var jobs []Job
+	for _, bench := range []string{"mcf", "hmmer"} {
+		for _, cfg := range []*config.Config{shared, twin, shared, reseeded, other} {
+			for _, seed := range []int64{1, 2, 1} {
+				jobs = append(jobs, Job{Bench: bench, Config: cfg, Seed: seed, Warmup: 10, Measure: 20})
+			}
+		}
+	}
+	var order []Key // distinct Job.Keys, first appearance first
+	first := map[Key]int{}
+	for i, j := range jobs {
+		if _, ok := first[j.Key()]; !ok {
+			first[j.Key()] = i
+			order = append(order, j.Key())
+		}
+	}
+	if len(order) != 8 { // 2 benches x {TableI, +zeropred} x seeds {1, 2}
+		t.Fatalf("test batch has %d distinct keys, want 8", len(order))
+	}
+
+	st := &recordingStore{Cache: NewCache()}
+	var calls atomic.Uint64
+	sched := NewScheduler(SchedulerOptions{
+		Parallelism: 3,
+		Store:       st,
+		Executor: func(ctx context.Context, j Job) (*metrics.Stats, error) {
+			return &metrics.Stats{Cycles: calls.Add(1)}, nil
+		},
+	})
+	for pass, want := range []Counters{{Misses: 8}, {Hits: 8, Misses: 8}} {
+		res, err := sched.RunBatch(context.Background(), Batch{Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Jobs share a result exactly when their Job.Keys are equal.
+		for i, j := range jobs {
+			if got, lead := res[i].Stats.Cycles, res[first[j.Key()]].Stats.Cycles; got != lead {
+				t.Errorf("pass %d: job %d got run %d, its key's first job run %d", pass, i, got, lead)
+			}
+		}
+		seen := map[uint64]Key{}
+		for _, k := range order {
+			c := res[first[k]].Stats.Cycles
+			if prev, dup := seen[c]; dup {
+				t.Errorf("pass %d: keys %+v and %+v share run %d", pass, prev, k, c)
+			}
+			seen[c] = k
+		}
+		if c := sched.Counters(); c != want {
+			t.Errorf("pass %d: counters %+v, want %+v", pass, c, want)
+		}
+	}
+	if n := calls.Load(); n != 8 {
+		t.Errorf("executed %d times, want 8", n)
+	}
+	put := map[Key]int{}
+	for _, k := range st.puts {
+		put[k]++
+	}
+	for _, k := range order {
+		if put[k] != 1 {
+			t.Errorf("key %+v stored %d times, want once", k, put[k])
+		}
+	}
+	if len(st.puts) != len(order) {
+		t.Errorf("stored %d keys, want %d: %+v", len(st.puts), len(order), st.puts)
+	}
+}

@@ -245,7 +245,8 @@ func TestBatchValidationRejected(t *testing.T) {
 // daemon down or fail the job in the core — a cache asking for hundreds of
 // GiB (a fatal out-of-memory no recover can catch), more TAGE components
 // than the predictor supports or a commit group wider than the statistics
-// record (panics) — are 400 invalid_spec at admission, never reach an
+// record (panics), a TLB walk or a clock that would keep a short job busy
+// for minutes — are 400 invalid_spec at admission, never reach an
 // executor, and leave the daemon serving.
 func TestOversizedInlineConfigRejected(t *testing.T) {
 	cl, _, _ := newDaemon(t, func(ctx context.Context, j runner.Job) (*metrics.Stats, error) {
@@ -261,10 +262,16 @@ func TestOversizedInlineConfigRejected(t *testing.T) {
 	}
 	wide := config.TableI()
 	wide.CommitWidth = config.MaxCommitWidth + 1
+	slowWalk := config.TableI()
+	slowWalk.TLBWalkLat = 1 << 40
+	fastClock := config.TableI()
+	fastClock.CPUFreqGHz = 1e12
 	for name, cfg := range map[string]*config.Config{
 		"L3SizeKB":    hugeL3,
 		"RSEP.TAGE":   config.TableI().WithRSEP(rc),
 		"CommitWidth": wide,
+		"TLBWalkLat":  slowWalk,
+		"CPUFreqGHz":  fastClock,
 	} {
 		_, err := cl.RunBatch(t.Context(), runner.Batch{Jobs: []runner.Job{
 			{Bench: "mcf", Config: cfg, Seed: 1, Warmup: 10, Measure: 10},
