@@ -120,16 +120,18 @@ const maxAlloc = 64 << 20
 
 // Writer serializes a checkpoint stream.
 type Writer struct {
-	bw      *bufio.Writer
+	w       io.Writer
 	crc     crcAcc
 	err     error
 	scratch [8]byte   // fixed-width values, so writing them never allocates
 	lit     [512]byte // masked literal words of padded POD sections
 }
 
-// NewWriter starts a checkpoint stream on w, emitting the header.
+// NewWriter starts a checkpoint stream on w, emitting the header. Writes go
+// straight to w, many of them a few bytes long, so a caller writing to a
+// file or socket should pass a buffered writer and flush it after Close.
 func NewWriter(w io.Writer) *Writer {
-	cw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
+	cw := &Writer{w: w}
 	cw.writeRaw(strBytes(magic))
 	cw.U32(FormatVersion)
 	*(*uint64)(unsafe.Pointer(&cw.scratch[0])) = archProbe
@@ -157,7 +159,7 @@ func (w *Writer) writeRaw(b []byte) {
 	if w.err != nil {
 		return
 	}
-	if _, err := w.bw.Write(b); err != nil {
+	if _, err := w.w.Write(b); err != nil {
 		w.fail(err)
 		return
 	}
@@ -204,17 +206,13 @@ func (w *Writer) Str(s string) {
 // skew at the section boundary instead of at the final checksum.
 func (w *Writer) Mark(tag string) { w.Str(tag) }
 
-// Close writes the CRC trailer and flushes. The Writer is unusable after.
+// Close writes the CRC trailer. The Writer is unusable after.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
 	}
 	binary.LittleEndian.PutUint64(w.scratch[:], w.crc.sum())
-	if _, err := w.bw.Write(w.scratch[:]); err != nil {
-		w.fail(err)
-		return w.err
-	}
-	if err := w.bw.Flush(); err != nil {
+	if _, err := w.w.Write(w.scratch[:]); err != nil {
 		w.fail(err)
 	}
 	return w.err

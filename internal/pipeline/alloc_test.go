@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"rsepsim/internal/config"
@@ -68,5 +70,35 @@ func TestWarmWorkerJobAllocations(t *testing.T) {
 	t.Logf("warm whole-job allocations: %.0f", avg)
 	if avg > 500 {
 		t.Errorf("warm whole-job allocations = %.0f, want <= 500", avg)
+	}
+}
+
+// TestCheckpointIntoGrownBufferAllocations pins what a slice boundary costs
+// the heap when the sliced runner encodes into a buffer kept from the
+// previous boundary: the checkpoint writer and nothing the size of the
+// state. A 64 KiB staging buffer, or a copy of any table, would exceed the
+// bound many times over.
+func TestCheckpointIntoGrownBufferAllocations(t *testing.T) {
+	cfg := config.TableI().WithRSEP(rsep.Ideal()).WithVP(vpred.BeBoP())
+	core := New(cfg, workload.New(workload.MustByName("mcf"), 42))
+	core.Run(20_000)
+	var buf bytes.Buffer
+	if err := core.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		buf.Reset()
+		if err := core.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCkpt := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("checkpoint of %d bytes allocates %d bytes", buf.Len(), perCkpt)
+	if perCkpt >= 8<<10 {
+		t.Errorf("Checkpoint into a grown buffer allocates %d bytes, want < 8 KiB", perCkpt)
 	}
 }

@@ -15,7 +15,8 @@ import (
 // position and the trace window — so a core restored from it continues
 // bit-identically to one that never paused. Checkpoints must be taken between
 // Run calls (at a cycle boundary); Run never pauses mid-cycle, so that is the
-// natural grain.
+// natural grain. The stream goes to w in many small writes, so w should be
+// an in-memory buffer or a buffered writer.
 //
 // The stream starts with the config's seedless hash and seed so Restore can
 // refuse a checkpoint taken under a different machine geometry or seed.

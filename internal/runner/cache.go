@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"sync"
 	"time"
 
@@ -79,7 +80,7 @@ func (c *Cache) PutSlice(k SliceKey, st *metrics.Stats) {
 
 // GetCheckpoint returns the checkpoint blob stored under k. The stored slice
 // is handed out directly: the checkpoint reader never mutates its input, and
-// the writer that stored it relinquished ownership (see PutCheckpoint).
+// the cache's copy is its own (see PutCheckpoint).
 func (c *Cache) GetCheckpoint(k CheckpointKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,10 +88,10 @@ func (c *Cache) GetCheckpoint(k CheckpointKey) ([]byte, bool) {
 	return blob, ok
 }
 
-// PutCheckpoint stores blob under k and takes ownership of it: the caller
-// must not modify blob afterwards. Checkpoints run to megabytes, so the
-// cache keeps the caller's bytes instead of a copy.
+// PutCheckpoint stores a copy of blob under k: the blob is borrowed, and
+// the sliced runner reuses its buffer at the next boundary.
 func (c *Cache) PutCheckpoint(k CheckpointKey, blob []byte) {
+	blob = bytes.Clone(blob)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ckpts[k] = blob

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"slices"
 	"sync"
 	"time"
@@ -34,48 +35,55 @@ const corePoolMax = 8
 // hundreds at the largest sizes config.Validate admits.
 const coreIdleTTL = 10 * time.Second
 
-type idleCore struct {
-	key   string // config.SeedlessHash of the config the core last ran
-	core  *pipeline.Core
-	since time.Time // when the core was returned
+// pooledCore is a core on loan from the pool, or idle in it, together with
+// what travels with it.
+type pooledCore struct {
+	*pipeline.Core
+	key string // config.SeedlessHash of the config the core last ran
+	// ckpt is the buffer runSliced encodes this core's checkpoints into. It
+	// grows to the largest checkpoint the core has written and is reused at
+	// every slice boundary after that: the store only borrows the bytes.
+	ckpt  bytes.Buffer
+	since time.Time // when the core was last returned
 }
 
 var corePool struct {
 	mu   sync.Mutex
-	idle []idleCore  // oldest returned first
-	trim *time.Timer // armed while any core is idle
+	idle []*pooledCore // oldest returned first
+	trim *time.Timer   // armed while any core is idle
 }
 
 // coreFor returns a core ready to simulate cfg over src — an idle core reset
-// in place when one is available, a freshly built one otherwise — together
-// with the pool key to return it under.
-func coreFor(cfg *config.Config, src trace.Source) (*pipeline.Core, string) {
+// in place when one is available, a freshly built one otherwise.
+func coreFor(cfg *config.Config, src trace.Source) *pooledCore {
 	key := cfg.SeedlessHash()
 	corePool.mu.Lock()
-	var core *pipeline.Core
+	var p *pooledCore
 	if n := len(corePool.idle); n > 0 {
 		i := n - 1
-		if j := slices.IndexFunc(corePool.idle, func(e idleCore) bool { return e.key == key }); j >= 0 {
+		if j := slices.IndexFunc(corePool.idle, func(e *pooledCore) bool { return e.key == key }); j >= 0 {
 			i = j
 		}
-		core = corePool.idle[i].core
+		p = corePool.idle[i]
 		corePool.idle = slices.Delete(corePool.idle, i, i+1)
 	}
 	corePool.mu.Unlock()
-	if core == nil {
-		return pipeline.New(cfg, src), key
+	if p == nil {
+		return &pooledCore{Core: pipeline.New(cfg, src), key: key}
 	}
-	core.ResetFor(cfg, src)
-	return core, key
+	p.ResetFor(cfg, src)
+	p.key = key
+	return p
 }
 
 // putCore returns a healthy core to the pool, which keeps at most
 // corePoolMax idle cores, each for at most coreIdleTTL.
-func putCore(key string, core *pipeline.Core) {
+func putCore(p *pooledCore) {
 	corePool.mu.Lock()
 	defer corePool.mu.Unlock()
 	if len(corePool.idle) < corePoolMax {
-		corePool.idle = append(corePool.idle, idleCore{key, core, time.Now()})
+		p.since = time.Now()
+		corePool.idle = append(corePool.idle, p)
 	}
 	if corePool.trim == nil {
 		corePool.trim = time.AfterFunc(coreIdleTTL, trimCores)
@@ -88,7 +96,7 @@ func trimCores() {
 	corePool.mu.Lock()
 	defer corePool.mu.Unlock()
 	now := time.Now()
-	corePool.idle = slices.DeleteFunc(corePool.idle, func(e idleCore) bool {
+	corePool.idle = slices.DeleteFunc(corePool.idle, func(e *pooledCore) bool {
 		return now.Sub(e.since) >= coreIdleTTL
 	})
 	corePool.trim = nil

@@ -69,10 +69,10 @@ func TestCorePoolDropsIdleCores(t *testing.T) {
 	corePool.mu.Unlock()
 	cfg := config.TableI()
 	src := workload.New(workload.MustByName("mcf"), 1)
-	stale, key := coreFor(cfg, src)
-	core, _ := coreFor(cfg, src)
-	putCore(key, stale)
-	putCore(key, core)
+	stale := coreFor(cfg, src)
+	core := coreFor(cfg, src)
+	putCore(stale)
+	putCore(core)
 
 	corePool.mu.Lock()
 	if corePool.trim == nil {
@@ -82,7 +82,7 @@ func TestCorePoolDropsIdleCores(t *testing.T) {
 	corePool.mu.Unlock()
 	trimCores()
 	corePool.mu.Lock()
-	if len(corePool.idle) != 1 || corePool.idle[0].core != core || corePool.trim == nil {
+	if len(corePool.idle) != 1 || corePool.idle[0] != core || corePool.trim == nil {
 		t.Errorf("after a trim: %d idle cores (want only the fresh one), timer armed %v", len(corePool.idle), corePool.trim != nil)
 	}
 	corePool.idle[0].since = time.Now().Add(-coreIdleTTL)

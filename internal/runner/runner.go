@@ -102,22 +102,22 @@ func Simulate(ctx context.Context, j Job) (*metrics.Stats, error) {
 // the previous job did not run, instead of table construction per job. The
 // returned Stats are a copy — the core's own counters are recycled with it.
 func SimulateSource(ctx context.Context, cfg *config.Config, src trace.Source, warmup, measure uint64) (*metrics.Stats, error) {
-	core, key := coreFor(cfg, src)
+	core := coreFor(cfg, src)
 	if ctx != nil {
 		core.SetCancel(ctx.Done())
 	}
 	core.Run(warmup)
 	if ctx != nil && ctx.Err() != nil {
-		putCore(key, core)
+		putCore(core)
 		return nil, context.Cause(ctx)
 	}
 	core.ResetStats()
 	core.Run(measure)
 	if ctx != nil && ctx.Err() != nil {
-		putCore(key, core)
+		putCore(core)
 		return nil, context.Cause(ctx)
 	}
 	stats := *core.Stats()
-	putCore(key, core)
+	putCore(core)
 	return &stats, nil
 }

@@ -141,10 +141,6 @@ type Scheduler struct {
 	slicesRun     atomic.Uint64
 	slicesResumed atomic.Uint64
 	cyclesSkipped atomic.Uint64
-
-	// ckptLen is the length of the last checkpoint runSliced wrote, the
-	// initial capacity of the next one's buffer.
-	ckptLen atomic.Int64
 }
 
 // NewScheduler returns an idle scheduler.

@@ -5,7 +5,6 @@ import (
 	"context"
 
 	"rsepsim/internal/metrics"
-	"rsepsim/internal/pipeline"
 	"rsepsim/internal/trace"
 	"rsepsim/internal/workload"
 )
@@ -58,11 +57,10 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 	ss, _ := s.store.(SliceStore)
 
 	var merged metrics.Stats
-	var core *pipeline.Core
-	var coreKey string
+	var core *pooledCore
 	release := func() {
 		if core != nil {
-			putCore(coreKey, core)
+			putCore(core)
 			core = nil
 		}
 	}
@@ -103,7 +101,7 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 		}
 
 		if core == nil {
-			core, coreKey = coreFor(cfg, freshSrc())
+			core = coreFor(cfg, freshSrc())
 			core.SetCancel(ctx.Done())
 			restored := false
 			if k > 0 && ss != nil {
@@ -152,14 +150,11 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 			ss.PutSlice(sk, &delta)
 			// Checkpoint every boundary, the final one included — that is
 			// what lets a later submission extend this Measure. The store
-			// takes ownership of the bytes, so every boundary gets a fresh
-			// buffer, presized to the last checkpoint to skip regrowth.
-			var buf bytes.Buffer
-			buf.Grow(int(s.ckptLen.Load()))
-			if err := core.Checkpoint(&buf); err == nil {
-				s.ckptLen.Store(int64(buf.Len()))
+			// only borrows the bytes, so the core's buffer is reused.
+			core.ckpt.Reset()
+			if err := core.Checkpoint(&core.ckpt); err == nil {
 				ss.PutCheckpoint(CheckpointKey{Bench: j.Bench, ConfigHash: cfgHash,
-					Seed: j.Seed, Warmup: j.Warmup, At: end}, buf.Bytes())
+					Seed: j.Seed, Warmup: j.Warmup, At: end}, core.ckpt.Bytes())
 			}
 		}
 		resolve(k, false)

@@ -39,9 +39,10 @@ type CheckpointKey struct {
 // snapshots/copies of slice stats, treat damaged entries as misses (counted
 // stale), and keep Put best-effort. Checkpoint blobs are opaque to the store;
 // integrity is the store's job (a corrupt blob must become a miss, not a bad
-// restore). Blobs are not copied: PutCheckpoint takes ownership of its
-// argument, and GetCheckpoint may return stored bytes, which the caller must
-// not modify.
+// restore). PutCheckpoint borrows its argument: the caller reuses the buffer
+// once the call returns, so a store copies or writes out whatever it keeps
+// before returning. GetCheckpoint may return stored bytes, which the caller
+// must not modify.
 type SliceStore interface {
 	GetSlice(k SliceKey) (*metrics.Stats, bool)
 	PutSlice(k SliceKey, st *metrics.Stats)

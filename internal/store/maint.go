@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -61,6 +62,7 @@ func (d *Disk) Verify() (valid int, bad []Corrupt, err error) {
 func (d *Disk) index() ([]Entry, []Corrupt, error) {
 	var entries []Entry
 	var rejects []Corrupt
+	var buf bytes.Buffer
 	root := filepath.Join(d.dir, version)
 	err := filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
 		if err != nil {
@@ -74,15 +76,14 @@ func (d *Disk) index() ([]Entry, []Corrupt, error) {
 		if de.IsDir() || !isEntryName(de.Name()) {
 			return nil
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
+		if err := readEnvelopeFile(&buf, path); err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				return nil
 			}
 			rejects = append(rejects, Corrupt{Path: path, Reason: err})
 			return nil
 		}
-		env, _, err := decodeEntry(raw)
+		env, _, err := decodeEntry(buf.Bytes())
 		if err != nil {
 			rejects = append(rejects, Corrupt{Path: path, Reason: err})
 			return nil
@@ -96,7 +97,7 @@ func (d *Disk) index() ([]Entry, []Corrupt, error) {
 			ID:      id,
 			Key:     env.Key.key(),
 			Path:    path,
-			Size:    int64(len(raw)),
+			Size:    int64(buf.Len()),
 			Created: env.Created,
 			SimTime: time.Duration(env.SimNanos),
 		})

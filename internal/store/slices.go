@@ -88,12 +88,18 @@ func (d *Disk) ckptPath(id string) string {
 // miss, exactly like Get; the whole-result hit/miss counters are untouched —
 // slices are an execution detail, not a result-plane outcome.
 func (d *Disk) GetSlice(k runner.SliceKey) (*metrics.Stats, bool) {
-	raw, err := os.ReadFile(d.slicePath(SliceID(k)))
-	if err != nil {
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf)
+	err := readEnvelopeFile(buf, d.slicePath(SliceID(k)))
+	if os.IsNotExist(err) {
 		return nil, false
 	}
-	st, err := decodeSliceEntry(raw, k)
-	if err != nil {
+	var env *sliceEnvelope
+	var st *metrics.Stats
+	if err == nil {
+		env, st, err = decodeSliceEntry(buf.Bytes())
+	}
+	if err != nil || env.Key.key() != k {
 		d.mu.Lock()
 		d.stale++
 		d.mu.Unlock()
@@ -102,26 +108,25 @@ func (d *Disk) GetSlice(k runner.SliceKey) (*metrics.Stats, bool) {
 	return st, true
 }
 
-func decodeSliceEntry(raw []byte, k runner.SliceKey) (*metrics.Stats, error) {
+// decodeSliceEntry parses and integrity-checks one slice envelope, like
+// decodeEntry does a result envelope.
+func decodeSliceEntry(raw []byte) (*sliceEnvelope, *metrics.Stats, error) {
 	var env sliceEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, fmt.Errorf("store: undecodable slice entry: %w", err)
+		return nil, nil, fmt.Errorf("store: undecodable slice entry: %w", err)
 	}
 	if env.Schema != Schema {
-		return nil, fmt.Errorf("store: slice schema %d, want %d", env.Schema, Schema)
+		return nil, nil, fmt.Errorf("store: slice schema %d, want %d", env.Schema, Schema)
 	}
 	sum := sha256.Sum256(env.Stats)
 	if got := hex.EncodeToString(sum[:]); got != env.StatsSHA {
-		return nil, fmt.Errorf("store: slice stats checksum mismatch")
-	}
-	if env.Key.key() != k {
-		return nil, fmt.Errorf("store: slice entry keyed for %v, want %v", env.Key.key(), k)
+		return nil, nil, fmt.Errorf("store: slice stats checksum mismatch")
 	}
 	var st metrics.Stats
 	if err := json.Unmarshal(env.Stats, &st); err != nil {
-		return nil, fmt.Errorf("store: undecodable slice stats: %w", err)
+		return nil, nil, fmt.Errorf("store: undecodable slice stats: %w", err)
 	}
-	return &st, nil
+	return &env, &st, nil
 }
 
 // PutSlice persists the delta under k, best-effort like Put.
@@ -206,23 +211,26 @@ func (t *Tiered) PutSlice(k runner.SliceKey, st *metrics.Stats) {
 	}
 }
 
-// GetCheckpoint consults memory, then disk, promoting a disk hit.
+// GetCheckpoint reads a read-write store's checkpoints from disk only. A
+// read-only store consults memory first, which holds the checkpoints it
+// wrote, then disk. Disk hits are not promoted: they can be read again.
 func (t *Tiered) GetCheckpoint(k runner.CheckpointKey) ([]byte, bool) {
-	if blob, ok := t.mem.GetCheckpoint(k); ok {
-		return blob, ok
+	if t.readOnly {
+		if blob, ok := t.mem.GetCheckpoint(k); ok {
+			return blob, ok
+		}
 	}
-	blob, ok := t.disk.GetCheckpoint(k)
-	if !ok {
-		return nil, false
-	}
-	t.mem.PutCheckpoint(k, blob)
-	return blob, true
+	return t.disk.GetCheckpoint(k)
 }
 
-// PutCheckpoint records the blob in memory and, unless read-only, on disk.
+// PutCheckpoint writes the blob to disk, or, when read-only, keeps a copy in
+// memory. A read-write store never holds checkpoint bytes in memory: they
+// run to megabytes per slice boundary, and a failed disk write only costs a
+// resume its fast-forward.
 func (t *Tiered) PutCheckpoint(k runner.CheckpointKey, blob []byte) {
-	t.mem.PutCheckpoint(k, blob)
-	if !t.readOnly {
-		t.disk.PutCheckpoint(k, blob)
+	if t.readOnly {
+		t.mem.PutCheckpoint(k, blob)
+		return
 	}
+	t.disk.PutCheckpoint(k, blob)
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"testing"
 
@@ -126,8 +127,8 @@ func TestTieredSliceStore(t *testing.T) {
 	tiered.PutSlice(sk, &metrics.Stats{Cycles: 77})
 	tiered.PutCheckpoint(ck, []byte("blob"))
 
-	// A second tier over the same directory sees both through disk and
-	// promotes them to memory.
+	// A second tier over the same directory sees both through disk. It
+	// promotes the slice to memory; checkpoints stay on disk only.
 	d2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -176,5 +177,60 @@ func TestSliceSubtreesInvisibleToMaintenance(t *testing.T) {
 	}
 	if n != 0 {
 		t.Fatalf("Scan saw %d entries in a store holding only slices", n)
+	}
+}
+
+// TestPutCheckpointBorrowsBlob pins the SliceStore checkpoint contract: the
+// blob is borrowed, so the caller may overwrite its buffer as soon as
+// PutCheckpoint returns without changing what GetCheckpoint serves.
+func TestPutCheckpointBorrowsBlob(t *testing.T) {
+	stores := map[string]func(t *testing.T) runner.SliceStore{
+		"cache": func(*testing.T) runner.SliceStore { return runner.NewCache() },
+		"disk":  func(t *testing.T) runner.SliceStore { return mustOpen(t) },
+		"tiered-rw": func(t *testing.T) runner.SliceStore {
+			return NewTiered(mustOpen(t), false)
+		},
+		"tiered-ro": func(t *testing.T) runner.SliceStore {
+			d, err := Attach(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewTiered(d, true)
+		},
+	}
+	for name, open := range stores {
+		t.Run(name, func(t *testing.T) {
+			ss := open(t)
+			k := testCkptKey()
+			want := []byte("checkpoint bytes of the first boundary")
+			buf := bytes.Clone(want)
+			ss.PutCheckpoint(k, buf)
+			copy(buf, "the next boundary reuses the buffer....")
+			got, ok := ss.GetCheckpoint(k)
+			if !ok {
+				t.Fatal("stored checkpoint missed")
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("GetCheckpoint = %q after the caller reused its buffer, want %q", got, want)
+			}
+		})
+	}
+}
+
+// TestTieredCheckpointsLiveOnDisk: a read-write tier keeps no checkpoint
+// bytes in memory, so a checkpoint whose file is gone is a miss.
+func TestTieredCheckpointsLiveOnDisk(t *testing.T) {
+	d := mustOpen(t)
+	tiered := NewTiered(d, false)
+	k := testCkptKey()
+	tiered.PutCheckpoint(k, []byte("blob"))
+	if blob, ok := tiered.GetCheckpoint(k); !ok || string(blob) != "blob" {
+		t.Fatalf("checkpoint read back: %q %v", blob, ok)
+	}
+	if err := os.Remove(d.ckptPath(CheckpointID(k))); err != nil {
+		t.Fatal(err)
+	}
+	if blob, ok := tiered.GetCheckpoint(k); ok {
+		t.Fatalf("checkpoint served from memory after its file was deleted: %q", blob)
 	}
 }

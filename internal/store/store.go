@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -164,15 +165,9 @@ func (d *Disk) Get(k runner.Key) (*metrics.Stats, bool) {
 // stats and envelope. A missing file returns an os.IsNotExist error; any
 // other failure means the entry exists but is unusable.
 func (d *Disk) load(k runner.Key) (*metrics.Stats, *envelope, error) {
-	f, err := os.Open(d.path(ID(k)))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
 	buf := readBufs.Get().(*bytes.Buffer)
 	defer readBufs.Put(buf)
-	buf.Reset()
-	if _, err := buf.ReadFrom(f); err != nil {
+	if err := readEnvelopeFile(buf, d.path(ID(k))); err != nil {
 		return nil, nil, err
 	}
 	env, st, err := decodeEntry(buf.Bytes())
@@ -185,10 +180,42 @@ func (d *Disk) load(k runner.Key) (*metrics.Stats, *envelope, error) {
 	return st, env, nil
 }
 
-// readBufs recycles load's read buffers: decodeEntry copies everything it
-// returns out of the raw bytes, and a run answered from the store reads one
-// entry per job.
+// readBufs recycles the read buffers of load and GetSlice: the decoders
+// copy everything they return out of the raw bytes, and a run answered from
+// the store reads one entry per job.
 var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxEnvelope caps the bytes read for one result or slice envelope. The
+// envelopes Disk.write and PutSlice emit are about 1 KiB, so a larger file or
+// bundle member is damage, refused before it is read whole.
+const maxEnvelope = 64 << 10
+
+var errOversized = fmt.Errorf("store: envelope exceeds %d bytes", maxEnvelope)
+
+// readEnvelope reads one envelope from r into buf, which it resets first. It
+// stops one byte past maxEnvelope and then fails with errOversized.
+func readEnvelope(buf *bytes.Buffer, r io.Reader) error {
+	buf.Reset()
+	lr := io.LimitedReader{R: r, N: maxEnvelope + 1}
+	if _, err := buf.ReadFrom(&lr); err != nil {
+		return err
+	}
+	if buf.Len() > maxEnvelope {
+		return errOversized
+	}
+	return nil
+}
+
+// readEnvelopeFile is readEnvelope over the file at path. A missing file
+// returns an os.IsNotExist error.
+func readEnvelopeFile(buf *bytes.Buffer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return readEnvelope(buf, f)
+}
 
 // decodeEntry parses and integrity-checks one envelope: schema, checksum
 // over the raw stats bytes, and a stats decode.
@@ -227,18 +254,18 @@ func (d *Disk) LoadRaw(id string) ([]byte, error) {
 	if _, err := hex.DecodeString(id); err != nil {
 		return nil, fmt.Errorf("store: malformed entry id %q", id)
 	}
-	raw, err := os.ReadFile(d.path(id))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := readEnvelopeFile(&buf, d.path(id)); err != nil {
 		return nil, err
 	}
-	env, _, err := decodeEntry(raw)
+	env, _, err := decodeEntry(buf.Bytes())
 	if err != nil {
 		return nil, err
 	}
 	if got := ID(env.Key.key()); got != id {
 		return nil, fmt.Errorf("store: entry %s keyed for %s", id[:12], got[:12])
 	}
-	return raw, nil
+	return buf.Bytes(), nil
 }
 
 // Put persists st under k via an atomic tmp+rename write. Put is

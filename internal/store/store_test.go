@@ -1,10 +1,13 @@
 package store
 
 import (
+	"archive/tar"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -418,6 +421,72 @@ func TestExportImport(t *testing.T) {
 	if rejected != 1 || imported != len(keys)-1 {
 		t.Fatalf("tampered import = %d imported / %d rejected, want %d/1", imported, rejected, len(keys)-1)
 	}
+}
+
+// TestOversizedEnvelopesRejected: a bundle member or an entry file larger
+// than any envelope the store writes is refused without being read whole.
+func TestOversizedEnvelopesRejected(t *testing.T) {
+	const huge = 4 << 20
+	k := testKey("mcf", 1)
+	id := ID(k)
+	var bundle bytes.Buffer
+	tw := tar.NewWriter(&bundle)
+	if err := tw.WriteHeader(&tar.Header{Name: "v1/" + id[:2] + "/" + id + ".json", Mode: 0o644, Size: huge}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tw.Write(bytes.Repeat([]byte{' '}, huge)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d := mustOpen(t)
+	before := totalAlloc()
+	imported, skipped, rejected, err := d.Import(bytes.NewReader(bundle.Bytes()))
+	allocated := totalAlloc() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imported != 0 || skipped != 0 || rejected != 1 {
+		t.Fatalf("import = %d/%d/%d, want 0 imported / 0 skipped / 1 rejected", imported, skipped, rejected)
+	}
+	if _, err := os.Stat(entryPath(d, k)); !os.IsNotExist(err) {
+		t.Fatalf("oversized member installed: %v", err)
+	}
+	if allocated >= 1<<20 {
+		t.Fatalf("importing a %d-byte member allocated %d bytes, want < 1 MiB", huge, allocated)
+	}
+
+	// The same bytes as an entry file: a stale miss, and a Verify reject.
+	if err := os.MkdirAll(filepath.Dir(entryPath(d, k)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entryPath(d, k), bytes.Repeat([]byte{' '}, huge), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before = totalAlloc()
+	_, ok := d.Get(k)
+	allocated = totalAlloc() - before
+	if ok || d.Counters().Stale != 1 {
+		t.Fatalf("oversized entry: hit %v, counters %+v; want a stale miss", ok, d.Counters())
+	}
+	if allocated >= 1<<20 {
+		t.Fatalf("reading a %d-byte entry file allocated %d bytes, want < 1 MiB", huge, allocated)
+	}
+	if _, err := d.LoadRaw(id); !errors.Is(err, errOversized) {
+		t.Fatalf("LoadRaw of an oversized entry: %v, want errOversized", err)
+	}
+	if valid, bad, err := d.Verify(); err != nil || valid != 0 || len(bad) != 1 || !errors.Is(bad[0].Reason, errOversized) {
+		t.Fatalf("Verify = %d valid, %v, %v; want the oversized entry rejected", valid, bad, err)
+	}
+}
+
+// totalAlloc returns the bytes allocated by the process so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
 // TestTieredIncremental is the unit-level form of the CI incrementality

@@ -2,6 +2,7 @@ package store
 
 import (
 	"archive/tar"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -56,6 +57,7 @@ func (d *Disk) Export(w io.Writer) (exported int, err error) {
 // corruption that Verify reports.
 func (d *Disk) Import(r io.Reader) (imported, skipped, rejected int, err error) {
 	tr := tar.NewReader(r)
+	var buf bytes.Buffer
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
@@ -67,11 +69,13 @@ func (d *Disk) Import(r io.Reader) (imported, skipped, rejected int, err error) 
 		if hdr.Typeflag != tar.TypeReg || !isEntryName(path.Base(hdr.Name)) {
 			continue
 		}
-		raw, err := io.ReadAll(tr)
-		if err != nil {
+		if err := readEnvelope(&buf, tr); errors.Is(err, errOversized) {
+			rejected++ // the rest of the member is skipped, never read whole
+			continue
+		} else if err != nil {
 			return imported, skipped, rejected, fmt.Errorf("store: import %s: %w", hdr.Name, err)
 		}
-		env, _, err := decodeEntry(raw)
+		env, _, err := decodeEntry(buf.Bytes())
 		if err != nil {
 			rejected++
 			continue
@@ -81,14 +85,12 @@ func (d *Disk) Import(r io.Reader) (imported, skipped, rejected int, err error) 
 			rejected++ // member name disagrees with its own key
 			continue
 		}
-		if local, err := os.ReadFile(d.path(id)); err == nil {
-			if _, _, err := decodeEntry(local); err == nil {
-				skipped++ // valid local copy: deterministic results, same content
-				continue
-			}
-			// Local copy is corrupt — fall through and overwrite it.
+		if _, _, err := d.load(env.Key.key()); err == nil {
+			skipped++ // valid local copy: deterministic results, same content
+			continue
 		}
-		if err := d.writeRaw(id, raw); err != nil {
+		// No local copy, or a damaged one: install the bundle's.
+		if err := d.writeRaw(id, buf.Bytes()); err != nil {
 			return imported, skipped, rejected, fmt.Errorf("store: import %s: %w", hdr.Name, err)
 		}
 		imported++

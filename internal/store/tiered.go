@@ -14,9 +14,11 @@ import (
 // Tiered is the runner.Store the commands mount: an in-process runner.Cache
 // over a persistent Disk. Lookups hit memory first, then disk (promoting the
 // entry to memory); writes always land in memory and, unless the store is
-// read-only, on disk. Counters are tracked at this layer, so a hit means
-// "served without simulating" whichever tier supplied it, and a miss means
-// exactly one simulation happened.
+// read-only, on disk. Checkpoint blobs are the exception: a read-write store
+// keeps them on disk only, and no store promotes them (see GetCheckpoint
+// and PutCheckpoint). Counters are tracked at this
+// layer, so a hit means "served without simulating" whichever tier supplied
+// it, and a miss means exactly one simulation happened.
 type Tiered struct {
 	mem      *runner.Cache
 	disk     *Disk
