@@ -2,38 +2,21 @@ package branch
 
 import "rsepsim/internal/ckpt"
 
-// Save serializes the direction tables, BTB, RAS, speculative history and
-// statistics. The tie-breaker RNG is shared across predictors and serialized
-// by the core.
-func (p *Predictor) Save(w *ckpt.Writer) {
-	w.Mark("branch")
-	p.hist.Save(w)
-	ckpt.Slice(w, p.bimodal)
+// Walk hands the direction tables, BTB, RAS, speculative history and
+// statistics to s. The tie-breaker RNG is shared across predictors and
+// checkpointed by the core.
+func (p *Predictor) Walk(s *ckpt.Stream) {
+	s.Tag("branch")
+	p.hist.Walk(s)
+	ckpt.Fixed(s, p.bimodal)
 	for _, tbl := range p.tables {
-		ckpt.Slice(w, tbl)
+		ckpt.Fixed(s, tbl)
 	}
-	ckpt.Struct(w, &p.btb)
-	ckpt.Struct(w, &p.ras)
-	w.Int(p.top)
-	w.Int(p.ticks)
-	w.U64(p.CondLookups)
-	w.U64(p.CondMispredicts)
-	w.U64(p.BTBMisses)
-}
-
-// Load restores state saved by Save into a predictor of identical geometry.
-func (p *Predictor) Load(r *ckpt.Reader) {
-	r.Expect("branch")
-	p.hist.Load(r)
-	ckpt.ReadSliceFixed(r, p.bimodal)
-	for _, tbl := range p.tables {
-		ckpt.ReadSliceFixed(r, tbl)
-	}
-	ckpt.ReadStruct(r, &p.btb)
-	ckpt.ReadStruct(r, &p.ras)
-	p.top = r.Int()
-	p.ticks = r.Int()
-	p.CondLookups = r.U64()
-	p.CondMispredicts = r.U64()
-	p.BTBMisses = r.U64()
+	ckpt.Struct(s, &p.btb)
+	ckpt.Struct(s, &p.ras)
+	s.Int(&p.top)
+	s.Int(&p.ticks)
+	s.U64(&p.CondLookups)
+	s.U64(&p.CondMispredicts)
+	s.U64(&p.BTBMisses)
 }

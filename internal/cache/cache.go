@@ -52,7 +52,7 @@ const pfBit = uint64(1) << 63
 // head index, and the MSHR-full path reads the earliest fill at the head.
 // With Table I's small MSHR counts that beats a binary heap, whose sift
 // swaps dominate at this size. seq records insertion order, which the
-// checkpoint writer needs (see ckpt.go).
+// checkpoint walk needs (see ckpt.go).
 type mshrEnt struct {
 	fill uint64
 	addr uint64 // line address
@@ -84,7 +84,7 @@ type Cache struct {
 	// MRU fast path is one 16-byte probe instead of dependent loads from mru
 	// and tags. Invariant: mruHint[s].key == tags[s*ways+mruHint[s].way] at
 	// all times (every fill and scan hit update both; keys are nonzero, so a
-	// zero hint never matches). Derived state: rebuilt on Load, not saved.
+	// zero hint never matches). Derived state: rebuilt by Rebuild, not stored.
 	mruHint []mruEnt
 	ways    int
 	nsets   uint64
@@ -128,6 +128,11 @@ type Cache struct {
 
 	// Stats
 	Accesses, Misses, PrefetchIssued, PrefetchUseful, MSHRStalls uint64
+
+	// mshrAddrs and mshrFills are the checkpointed form of the live MSHR
+	// entries in insertion order, kept to reuse their storage. They sit
+	// last so the hot fields above keep their offsets.
+	mshrAddrs, mshrFills []uint64
 }
 
 // New builds a cache level in front of next.

@@ -1,86 +1,66 @@
 package cache
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rsepsim/internal/ckpt"
 )
 
-// Save serializes the cache's contents and statistics. Geometry (set/way
-// counts, latencies, the prefetcher's shape) is not serialized — it is
-// reconstructed from the configuration, and Load refuses a mismatch. Derived
-// structures (the presence filter, the per-set fill counts, the MSHR ring
-// order) are likewise rebuilt by Load rather than stored: outstanding misses
-// are written as two parallel insertion-ordered arrays exactly as the
-// historical compact MSHR arrays were laid out. Line records are written in
-// their packed 8-byte form (format version 3).
-func (c *Cache) Save(w *ckpt.Writer) {
-	w.Mark("cache:" + c.cfg.Name)
-	ckpt.Slice(w, c.lines)
-	ckpt.Slice(w, c.tags)
-	ckpt.Slice(w, c.lru)
-	ckpt.Slice(w, c.mru)
-	w.Int(c.filled)
-	ents := append([]mshrEnt(nil), c.mshr[c.mshrHead:]...)
-	sort.Slice(ents, func(i, j int) bool { return ents[i].seq < ents[j].seq })
-	addrs := make([]uint64, len(ents))
-	fills := make([]uint64, len(ents))
-	for i, e := range ents {
-		addrs[i] = e.addr
-		fills[i] = e.fill
+// Walk hands the cache's contents and statistics to s. Geometry (set/way
+// counts, latencies, the prefetcher's shape) is not stored — it is
+// reconstructed from the configuration, and a decoder refuses a mismatch.
+// Derived structures (the presence filter, the per-set fill counts, the MSHR
+// ring order) are likewise rebuilt by Rebuild rather than stored:
+// outstanding misses are stored as two parallel insertion-ordered arrays
+// exactly as the historical compact MSHR arrays were laid out, and a fill
+// array of another length than the address array fails the decode. Line
+// records are stored in their packed 8-byte form (format version 3).
+func (c *Cache) Walk(s *ckpt.Stream) {
+	s.Tag("cache:" + c.cfg.Name)
+	ckpt.Fixed(s, c.lines)
+	ckpt.Fixed(s, c.tags)
+	ckpt.Fixed(s, c.lru)
+	ckpt.Fixed(s, c.mru)
+	s.Int(&c.filled)
+	if !s.Decoding() {
+		ents := slices.Clone(c.mshr[c.mshrHead:])
+		slices.SortFunc(ents, func(a, b mshrEnt) int { return cmp.Compare(a.seq, b.seq) })
+		c.mshrAddrs, c.mshrFills = c.mshrAddrs[:0], c.mshrFills[:0]
+		for _, e := range ents {
+			c.mshrAddrs = append(c.mshrAddrs, e.addr)
+			c.mshrFills = append(c.mshrFills, e.fill)
+		}
 	}
-	ckpt.Slice(w, addrs)
-	ckpt.Slice(w, fills)
-	w.U64(c.mshrMin)
-	w.U64(c.tick)
-	w.U64(c.Accesses)
-	w.U64(c.Misses)
-	w.U64(c.PrefetchIssued)
-	w.U64(c.PrefetchUseful)
-	w.U64(c.MSHRStalls)
+	ckpt.Slice(s, &c.mshrAddrs)
+	c.mshrFills = slices.Grow(c.mshrFills[:0], len(c.mshrAddrs))[:len(c.mshrAddrs)]
+	ckpt.Fixed(s, c.mshrFills)
+	s.U64(&c.mshrMin)
+	s.U64(&c.tick)
+	s.U64(&c.Accesses)
+	s.U64(&c.Misses)
+	s.U64(&c.PrefetchIssued)
+	s.U64(&c.PrefetchUseful)
+	s.U64(&c.MSHRStalls)
+	s.Rebuild(c)
 	if c.cfg.Prefetch != nil {
-		c.cfg.Prefetch.Save(w)
+		c.cfg.Prefetch.Walk(s)
 	}
 }
 
-// Load restores state saved by Save into a cache of identical geometry.
-func (c *Cache) Load(r *ckpt.Reader) {
-	r.Expect("cache:" + c.cfg.Name)
-	ckpt.ReadSliceFixed(r, c.lines)
-	ckpt.ReadSliceFixed(r, c.tags)
-	ckpt.ReadSliceFixed(r, c.lru)
-	ckpt.ReadSliceFixed(r, c.mru)
-	c.filled = r.Int()
-	var addrs, fills []uint64
-	addrs = ckpt.ReadSlice(r, addrs)
-	fills = ckpt.ReadSlice(r, fills)
+// Rebuild refills the MSHR ring from the decoded arrays and recomputes the
+// presence filter, per-set fill counts and MRU hints from the tags. Valid
+// ways form a prefix of each set (fills claim the first invalid way and
+// lines never invalidate — the same invariant victim relies on), so the
+// count is also the next victim way.
+func (c *Cache) Rebuild() error {
 	c.mshr = c.mshr[:0]
 	c.mshrHead = 0
 	c.mshrSeq = 0
-	for i := range addrs {
-		if i < len(fills) {
-			c.mshrPush(mshrEnt{fill: fills[i], addr: addrs[i], seq: c.mshrSeq})
-			c.mshrSeq++
-		}
+	for i, addr := range c.mshrAddrs {
+		c.mshrPush(mshrEnt{fill: c.mshrFills[i], addr: addr, seq: c.mshrSeq})
+		c.mshrSeq++
 	}
-	c.mshrMin = r.U64()
-	c.tick = r.U64()
-	c.Accesses = r.U64()
-	c.Misses = r.U64()
-	c.PrefetchIssued = r.U64()
-	c.PrefetchUseful = r.U64()
-	c.MSHRStalls = r.U64()
-	c.rebuildDerived()
-	if c.cfg.Prefetch != nil {
-		c.cfg.Prefetch.Load(r)
-	}
-}
-
-// rebuildDerived recomputes the presence filter and per-set fill counts from
-// the restored tags. Valid ways form a prefix of each set (fills claim the
-// first invalid way and lines never invalidate — the same invariant victim
-// relies on), so the count is also the next victim way.
-func (c *Cache) rebuildDerived() {
 	clear(c.filter)
 	clear(c.setFilled)
 	for si := uint64(0); si < c.nsets; si++ {
@@ -95,7 +75,7 @@ func (c *Cache) rebuildDerived() {
 			n++
 		}
 		c.setFilled[si] = n
-		// Reconstitute the folded MRU hint from the serialized way hint; an
+		// Reconstitute the folded MRU hint from the stored way hint; an
 		// out-of-range or invalid hinted way leaves key 0, which never
 		// matches.
 		if m := c.mru[si]; int(m) < c.ways {
@@ -104,73 +84,56 @@ func (c *Cache) rebuildDerived() {
 			c.mruHint[si] = mruEnt{}
 		}
 	}
+	return nil
 }
 
-// Save serializes the prefetcher's learned state.
-func (s *StridePrefetcher) Save(w *ckpt.Writer) {
-	w.Mark("pf:stride")
-	ckpt.Slice(w, s.entries)
+// Walk hands the prefetcher's learned state to s.
+func (p *StridePrefetcher) Walk(s *ckpt.Stream) {
+	s.Tag("pf:stride")
+	ckpt.Fixed(s, p.entries)
 }
 
-// Load restores state saved by Save.
-func (s *StridePrefetcher) Load(r *ckpt.Reader) {
-	r.Expect("pf:stride")
-	ckpt.ReadSliceFixed(r, s.entries)
+// Walk hands the prefetcher's learned state to s. The lastLine hash index
+// is derivable and rebuilt by Rebuild, not stored.
+func (p *StreamPrefetcher) Walk(s *ckpt.Stream) {
+	s.Tag("pf:stream")
+	ckpt.Fixed(s, p.lastLine)
+	ckpt.Fixed(s, p.dir)
+	ckpt.Fixed(s, p.conf)
+	ckpt.Fixed(s, p.lru)
+	s.U64(&p.clock)
+	s.Int(&p.filled)
+	s.Rebuild(p)
 }
 
-// Save serializes the prefetcher's learned state. The lastLine hash index is
-// derivable and rebuilt by Load, not stored.
-func (s *StreamPrefetcher) Save(w *ckpt.Writer) {
-	w.Mark("pf:stream")
-	ckpt.Slice(w, s.lastLine)
-	ckpt.Slice(w, s.dir)
-	ckpt.Slice(w, s.conf)
-	ckpt.Slice(w, s.lru)
-	w.U64(s.clock)
-	w.Int(s.filled)
-}
-
-// Load restores state saved by Save.
-func (s *StreamPrefetcher) Load(r *ckpt.Reader) {
-	r.Expect("pf:stream")
-	ckpt.ReadSliceFixed(r, s.lastLine)
-	ckpt.ReadSliceFixed(r, s.dir)
-	ckpt.ReadSliceFixed(r, s.conf)
-	ckpt.ReadSliceFixed(r, s.lru)
-	s.clock = r.U64()
-	s.filled = r.Int()
-	clear(s.idx)
-	for i, ll := range s.lastLine {
-		s.reindex(i, 0, ll)
+// Rebuild recomputes the lastLine hash index.
+func (p *StreamPrefetcher) Rebuild() error {
+	clear(p.idx)
+	for i, ll := range p.lastLine {
+		p.reindex(i, 0, ll)
 	}
+	return nil
 }
 
-// Save serializes the TLB's translations and statistics.
-func (t *TLB) Save(w *ckpt.Writer) {
-	w.Mark("tlb")
-	ckpt.Slice(w, t.pages)
-	ckpt.Slice(w, t.lru)
-	ckpt.Slice(w, t.present)
-	w.U64(t.clock)
-	w.Int(t.mru)
-	w.Int(t.filled)
-	w.U64(t.Accesses)
-	w.U64(t.Misses)
+// Walk hands the TLB's translations and statistics to s.
+func (t *TLB) Walk(s *ckpt.Stream) {
+	s.Tag("tlb")
+	ckpt.Fixed(s, t.pages)
+	ckpt.Fixed(s, t.lru)
+	ckpt.Fixed(s, t.present)
+	s.U64(&t.clock)
+	s.Int(&t.mru)
+	s.Int(&t.filled)
+	s.U64(&t.Accesses)
+	s.U64(&t.Misses)
+	s.Rebuild(t)
 }
 
-// Load restores state saved by Save into a TLB of identical geometry.
-func (t *TLB) Load(r *ckpt.Reader) {
-	r.Expect("tlb")
-	ckpt.ReadSliceFixed(r, t.pages)
-	ckpt.ReadSliceFixed(r, t.lru)
-	ckpt.ReadSliceFixed(r, t.present)
-	t.clock = r.U64()
-	t.mru = r.Int()
-	t.filled = r.Int()
-	t.Accesses = r.U64()
-	t.Misses = r.U64()
+// Rebuild folds the MRU entry's page back out of the table.
+func (t *TLB) Rebuild() error {
 	t.mruKey = 0
 	if t.mru >= 0 && t.mru < len(t.pages) {
 		t.mruKey = t.pages[t.mru]
 	}
+	return nil
 }

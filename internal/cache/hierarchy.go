@@ -65,32 +65,18 @@ func (h *Hierarchy) Reset() {
 	h.Mem.Reset()
 }
 
-// SaveFrontend / LoadFrontend serialize the instruction-side state and
-// SaveData / LoadData the data-side plus DRAM, split so the checkpoint
-// stream keeps its historical section order (front end first, memory system
-// later).
-func (h *Hierarchy) SaveFrontend(w *ckpt.Writer) {
-	h.L1I.Save(w)
-	h.ITLB.Save(w)
+// WalkFrontend hands the instruction-side state to s and WalkData the
+// data side plus DRAM, split so the checkpoint stream keeps its historical
+// section order (front end first, memory system later).
+func (h *Hierarchy) WalkFrontend(s *ckpt.Stream) {
+	h.L1I.Walk(s)
+	h.ITLB.Walk(s)
 }
 
-func (h *Hierarchy) LoadFrontend(r *ckpt.Reader) {
-	h.L1I.Load(r)
-	h.ITLB.Load(r)
-}
-
-func (h *Hierarchy) SaveData(w *ckpt.Writer) {
-	h.L1D.Save(w)
-	h.L2.Save(w)
-	h.L3.Save(w)
-	h.DTLB.Save(w)
-	h.Mem.Save(w)
-}
-
-func (h *Hierarchy) LoadData(r *ckpt.Reader) {
-	h.L1D.Load(r)
-	h.L2.Load(r)
-	h.L3.Load(r)
-	h.DTLB.Load(r)
-	h.Mem.Load(r)
+func (h *Hierarchy) WalkData(s *ckpt.Stream) {
+	h.L1D.Walk(s)
+	h.L2.Walk(s)
+	h.L3.Walk(s)
+	h.DTLB.Walk(s)
+	h.Mem.Walk(s)
 }

@@ -14,10 +14,8 @@ type Prefetcher interface {
 	Observe(addr, pc uint64, miss bool) []uint64
 	// Reset clears all learned state in place, as if freshly constructed.
 	Reset()
-	// Save serializes the learned state; Load restores it into a
-	// prefetcher of identical geometry (see ckpt.go).
-	Save(w *ckpt.Writer)
-	Load(r *ckpt.Reader)
+	// Walk hands the learned state to a checkpoint stream (see ckpt.go).
+	Walk(s *ckpt.Stream)
 }
 
 // StridePrefetcher is the per-PC stride prefetcher attached to the L1D

@@ -20,11 +20,12 @@
 // the stream. A literal run ends only at two or more consecutive zero words,
 // which bounds an encoded section at its raw size plus one run header.
 //
-// Both Writer and Reader latch the first error: after a failure every
-// subsequent call is a cheap no-op (reads return zero values), so component
-// save/load code can stay free of error plumbing and the caller checks
-// Err/Close once at the end. Reader.Close verifies the checksum, turning any
-// torn or bit-flipped checkpoint into an error instead of corrupt state.
+// A Stream latches the first error: after a failure every subsequent call
+// is a cheap no-op (a decoder hands back zero values), so component walks
+// stay free of error plumbing and the caller checks Err/Close once at the
+// end. A decoder's Close verifies the checksum before it runs any queued
+// Rebuilder, turning a torn or bit-flipped checkpoint into an error before
+// any work is sized by its values.
 package ckpt
 
 import (
@@ -100,11 +101,11 @@ func (c *crcAcc) sum() uint64 {
 	return c.crc
 }
 
-// ErrChecksum is returned (wrapped) by Reader.Close when the trailing CRC
+// ErrChecksum is returned (wrapped) by a decoder's Close when the trailing CRC
 // does not match the bytes read.
 var ErrChecksum = errors.New("ckpt: checksum mismatch")
 
-// ErrVersion is returned (wrapped) by NewReader for a stream written under a
+// ErrVersion is returned (wrapped) by NewDecoder for a stream written under a
 // different FormatVersion.
 var ErrVersion = errors.New("ckpt: unsupported format version")
 
@@ -112,32 +113,84 @@ var ErrVersion = errors.New("ckpt: unsupported format version")
 // reaches past the end of its destination.
 var ErrRun = errors.New("ckpt: malformed zero run")
 
-// maxAlloc bounds the bytes behind any single length prefix the Reader
-// allocates for (ReadSlice, Str), so a corrupt length field fails cleanly
-// instead of attempting a giant allocation. Geometry-sized tables are read
-// in place by ReadSliceFixed and are not subject to it.
+// ErrLength is returned (wrapped) when a geometry-sized section (Fixed)
+// holds a different number of elements than its destination.
+var ErrLength = errors.New("ckpt: section length mismatch")
+
+// maxAlloc bounds the bytes behind any single length prefix a decoder
+// allocates for (Slice, Str), so a corrupt length field fails cleanly
+// instead of attempting a giant allocation. Geometry-sized tables are
+// decoded in place by Fixed and are not subject to it.
 const maxAlloc = 64 << 20
 
-// Writer serializes a checkpoint stream.
-type Writer struct {
+// Stream is one pass over a checkpoint, in either direction. A component
+// states its layout once, as a walk that hands each of its fields to the
+// stream by pointer: an encoder (NewEncoder) writes the value, a decoder
+// (NewDecoder) overwrites it from the stream. The same walk therefore
+// saves and restores, and the two cannot drift apart.
+type Stream struct {
+	dec     bool
 	w       io.Writer
+	br      *bufio.Reader
 	crc     crcAcc
 	err     error
-	scratch [8]byte   // fixed-width values, so writing them never allocates
+	scratch [8]byte   // fixed-width values, so coding them never allocates
 	lit     [512]byte // masked literal words of padded POD sections
+
+	// rebuild holds the decoder's queued Rebuilders; rebuildBuf backs it so
+	// queuing a core's few never allocates.
+	rebuild    []Rebuilder
+	rebuildBuf [16]Rebuilder
 }
 
-// NewWriter starts a checkpoint stream on w, emitting the header. Writes go
+// A Rebuilder holds state derived from the fields its walk hands a stream:
+// an index, a filter, per-set counts, or a window redrawn from a source.
+type Rebuilder interface {
+	Rebuild() error
+}
+
+// NewEncoder starts a checkpoint stream on w, emitting the header. Writes go
 // straight to w, many of them a few bytes long, so a caller writing to a
 // file or socket should pass a buffered writer and flush it after Close.
-func NewWriter(w io.Writer) *Writer {
-	cw := &Writer{w: w}
-	cw.writeRaw(strBytes(magic))
-	cw.U32(FormatVersion)
-	*(*uint64)(unsafe.Pointer(&cw.scratch[0])) = archProbe
-	cw.writeRaw(cw.scratch[:])
-	cw.U64(wordProbe)
-	return cw
+func NewEncoder(w io.Writer) *Stream {
+	s := &Stream{w: w}
+	s.header() // can fail only by a write error, which s latches
+	return s
+}
+
+// NewDecoder opens a checkpoint stream, validating the header. A version or
+// architecture mismatch is an immediate error.
+func NewDecoder(r io.Reader) (*Stream, error) {
+	s := &Stream{dec: true, br: bufio.NewReaderSize(r, 1<<16)}
+	s.rebuild = s.rebuildBuf[:0]
+	if err := s.header(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// header codes the magic, the format version and the two architecture
+// probes; a decoder refuses a stream whose header differs from its own.
+func (s *Stream) header() error {
+	head := s.scratch[:len(magic)]
+	copy(head, magic)
+	if s.raw(head); s.err == nil && string(head) != magic {
+		return fmt.Errorf("ckpt: bad magic %q", head)
+	}
+	version := FormatVersion
+	if s.U32(&version); s.err == nil && version != FormatVersion {
+		return fmt.Errorf("%w %d, want %d", ErrVersion, version, FormatVersion)
+	}
+	probe := (*uint64)(unsafe.Pointer(&s.scratch[0]))
+	*probe = archProbe
+	if s.raw(s.scratch[:]); s.err == nil && *probe != archProbe {
+		return errors.New("ckpt: checkpoint written on an incompatible architecture")
+	}
+	word := wordProbe
+	if s.U64(&word); s.err == nil && word != wordProbe {
+		return errors.New("ckpt: checkpoint written with an incompatible word size")
+	}
+	return s.err
 }
 
 // strBytes views s as bytes without copying. Only for passing to writers,
@@ -146,211 +199,180 @@ func strBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
-// Err returns the first error encountered.
-func (w *Writer) Err() error { return w.err }
-
-func (w *Writer) fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-}
-
-func (w *Writer) writeRaw(b []byte) {
-	if w.err != nil {
-		return
-	}
-	if _, err := w.w.Write(b); err != nil {
-		w.fail(err)
-		return
-	}
-	w.crc.add(b)
-}
-
-// U64 writes a fixed-width unsigned value.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:], v)
-	w.writeRaw(w.scratch[:8])
-}
-
-// U32 writes a fixed-width unsigned value.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.scratch[:], v)
-	w.writeRaw(w.scratch[:4])
-}
-
-// I64 writes a signed value.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes a native int as 64 bits.
-func (w *Writer) Int(v int) { w.U64(uint64(int64(v))) }
-
-// Bool writes a boolean.
-func (w *Writer) Bool(v bool) {
-	w.scratch[0] = 0
-	if v {
-		w.scratch[0] = 1
-	}
-	w.writeRaw(w.scratch[:1])
-}
-
-// F64 writes a float64 bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Str writes a length-prefixed string.
-func (w *Writer) Str(s string) {
-	w.U64(uint64(len(s)))
-	w.writeRaw(strBytes(s))
-}
-
-// Mark writes a section tag. Reader.Expect with the same tag detects format
-// skew at the section boundary instead of at the final checksum.
-func (w *Writer) Mark(tag string) { w.Str(tag) }
-
-// Close writes the CRC trailer. The Writer is unusable after.
-func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	binary.LittleEndian.PutUint64(w.scratch[:], w.crc.sum())
-	if _, err := w.w.Write(w.scratch[:]); err != nil {
-		w.fail(err)
-	}
-	return w.err
-}
-
-// Reader deserializes a checkpoint stream.
-type Reader struct {
-	br      *bufio.Reader
-	crc     crcAcc
-	err     error
-	scratch [8]byte // fixed-width values, so reading them never allocates
-}
-
-// NewReader opens a checkpoint stream, validating the header. A version or
-// architecture mismatch is an immediate error.
-func NewReader(r io.Reader) (*Reader, error) {
-	cr := &Reader{br: bufio.NewReaderSize(r, 1<<16)}
-	head := cr.scratch[:len(magic)]
-	cr.readRaw(head)
-	if cr.err == nil && string(head) != magic {
-		return nil, fmt.Errorf("ckpt: bad magic %q", head)
-	}
-	if v := cr.U32(); cr.err == nil && v != FormatVersion {
-		return nil, fmt.Errorf("%w %d, want %d", ErrVersion, v, FormatVersion)
-	}
-	cr.readRaw(cr.scratch[:])
-	if cr.err == nil && *(*uint64)(unsafe.Pointer(&cr.scratch[0])) != archProbe {
-		return nil, errors.New("ckpt: checkpoint written on an incompatible architecture")
-	}
-	if wp := cr.U64(); cr.err == nil && wp != wordProbe {
-		return nil, errors.New("ckpt: checkpoint written with an incompatible word size")
-	}
-	if cr.err != nil {
-		return nil, cr.err
-	}
-	return cr, nil
-}
+// Decoding reports whether s is a decoder. Walks branch on it only where
+// the stored form differs from the live one.
+func (s *Stream) Decoding() bool { return s.dec }
 
 // Err returns the first error encountered.
-func (r *Reader) Err() error { return r.err }
+func (s *Stream) Err() error { return s.err }
 
-func (r *Reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
+func (s *Stream) fail(err error) {
+	if s.err == nil {
+		s.err = err
 	}
 }
 
-func (r *Reader) readRaw(b []byte) {
-	if r.err != nil {
+func (s *Stream) writeRaw(b []byte) {
+	if s.err != nil {
+		return
+	}
+	if _, err := s.w.Write(b); err != nil {
+		s.fail(err)
+		return
+	}
+	s.crc.add(b)
+}
+
+func (s *Stream) readRaw(b []byte) {
+	if s.err != nil {
 		clear(b)
 		return
 	}
-	if _, err := io.ReadFull(r.br, b); err != nil {
-		r.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
+	if _, err := io.ReadFull(s.br, b); err != nil {
+		s.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
 		clear(b)
 		return
 	}
-	r.crc.add(b)
+	s.crc.add(b)
 }
 
-// U64 reads a fixed-width unsigned value.
-func (r *Reader) U64() uint64 {
-	r.readRaw(r.scratch[:8])
-	return binary.LittleEndian.Uint64(r.scratch[:])
+// raw codes b as is: an encoder writes it, a decoder fills it.
+func (s *Stream) raw(b []byte) {
+	if s.dec {
+		s.readRaw(b)
+	} else {
+		s.writeRaw(b)
+	}
 }
 
-// U32 reads a fixed-width unsigned value.
-func (r *Reader) U32() uint32 {
-	r.readRaw(r.scratch[:4])
-	return binary.LittleEndian.Uint32(r.scratch[:])
+// U64 codes a fixed-width unsigned value.
+func (s *Stream) U64(v *uint64) {
+	binary.LittleEndian.PutUint64(s.scratch[:], *v)
+	s.raw(s.scratch[:8])
+	*v = binary.LittleEndian.Uint64(s.scratch[:])
 }
 
-// I64 reads a signed value.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads a native int written by Writer.Int.
-func (r *Reader) Int() int { return int(int64(r.U64())) }
-
-// Bool reads a boolean.
-func (r *Reader) Bool() bool {
-	r.readRaw(r.scratch[:1])
-	return r.scratch[0] != 0
+// U32 codes a fixed-width unsigned value.
+func (s *Stream) U32(v *uint32) {
+	binary.LittleEndian.PutUint32(s.scratch[:], *v)
+	s.raw(s.scratch[:4])
+	*v = binary.LittleEndian.Uint32(s.scratch[:])
 }
 
-// F64 reads a float64 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+// I64 codes a signed value.
+func (s *Stream) I64(v *int64) {
+	u := uint64(*v)
+	s.U64(&u)
+	*v = int64(u)
+}
 
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string {
-	n := r.U64()
+// Int codes a native int as 64 bits.
+func (s *Stream) Int(v *int) {
+	x := int64(*v)
+	s.I64(&x)
+	*v = int(x)
+}
+
+// Bool codes a boolean as one byte.
+func (s *Stream) Bool(v *bool) {
+	s.scratch[0] = 0
+	if *v {
+		s.scratch[0] = 1
+	}
+	s.raw(s.scratch[:1])
+	*v = s.scratch[0] != 0
+}
+
+// Str codes a length-prefixed string.
+func (s *Stream) Str(v *string) {
+	n := uint64(len(*v))
+	s.U64(&n)
+	if !s.dec {
+		s.writeRaw(strBytes(*v))
+		return
+	}
+	*v = ""
 	if n > maxAlloc {
-		r.fail(fmt.Errorf("ckpt: implausible string length %d", n))
-		return ""
+		s.fail(fmt.Errorf("ckpt: implausible string length %d", n))
+		return
 	}
-	if n == 0 {
-		return ""
+	if n == 0 || s.err != nil {
+		return
 	}
 	b := make([]byte, n)
-	r.readRaw(b)
-	return unsafe.String(&b[0], len(b))
+	s.readRaw(b)
+	*v = unsafe.String(&b[0], len(b))
 }
 
-// Expect consumes a section tag and fails unless it matches. The stored tag
-// is compared through the scratch array, never allocated: a damaged length
-// fails here instead of sizing a buffer.
-func (r *Reader) Expect(tag string) {
-	n := r.U64()
-	if r.err != nil {
+// Tag codes a section tag: an encoder writes it, a decoder fails unless the
+// stream holds it, which detects format skew at the section boundary
+// instead of at the final checksum. The stored tag is compared through the
+// scratch array, never allocated: a damaged length fails here instead of
+// sizing a buffer.
+func (s *Stream) Tag(tag string) {
+	n := uint64(len(tag))
+	s.U64(&n)
+	if !s.dec {
+		s.writeRaw(strBytes(tag))
+		return
+	}
+	if s.err != nil {
 		return
 	}
 	if n != uint64(len(tag)) {
-		r.fail(fmt.Errorf("ckpt: section tag of %d bytes, want %q", n, tag))
+		s.fail(fmt.Errorf("ckpt: section tag of %d bytes, want %q", n, tag))
 		return
 	}
-	for rest := tag; rest != "" && r.err == nil; {
-		got := r.scratch[:min(len(rest), len(r.scratch))]
-		r.readRaw(got)
-		if r.err == nil && string(got) != rest[:len(got)] {
-			r.fail(fmt.Errorf("ckpt: section tag differs from %q", tag))
+	for rest := tag; rest != "" && s.err == nil; {
+		got := s.scratch[:min(len(rest), len(s.scratch))]
+		s.readRaw(got)
+		if s.err == nil && string(got) != rest[:len(got)] {
+			s.fail(fmt.Errorf("ckpt: section tag differs from %q", tag))
 		}
 		rest = rest[len(got):]
 	}
 }
 
-// Close consumes the CRC trailer and verifies it. It must be called after the
-// last value has been read; leftover payload surfaces as a CRC mismatch.
-func (r *Reader) Close() error {
-	if r.err != nil {
-		return r.err
+// Rebuild queues r to run once a decoder's Close has verified the checksum,
+// so work sized by decoded values — redrawing a window, walking a range of
+// sequence numbers — never runs on damaged bytes. An encoder ignores it.
+func (s *Stream) Rebuild(r Rebuilder) {
+	if s.dec {
+		s.rebuild = append(s.rebuild, r)
 	}
-	if _, err := io.ReadFull(r.br, r.scratch[:]); err != nil {
-		r.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
-		return r.err
+}
+
+// Close ends the stream. An encoder writes the CRC trailer. A decoder
+// consumes the trailer and verifies it, then runs the queued Rebuilders in
+// order; leftover payload surfaces as a CRC mismatch. The Stream is
+// unusable after.
+func (s *Stream) Close() error {
+	if s.err != nil {
+		return s.err
 	}
-	if binary.LittleEndian.Uint64(r.scratch[:]) != r.crc.sum() {
-		r.fail(ErrChecksum)
+	sum := s.crc.sum()
+	if !s.dec {
+		binary.LittleEndian.PutUint64(s.scratch[:], sum)
+		if _, err := s.w.Write(s.scratch[:]); err != nil {
+			s.fail(err)
+		}
+		return s.err
 	}
-	return r.err
+	if _, err := io.ReadFull(s.br, s.scratch[:]); err != nil {
+		s.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
+		return s.err
+	}
+	if binary.LittleEndian.Uint64(s.scratch[:]) != sum {
+		s.fail(ErrChecksum)
+		return s.err
+	}
+	for _, r := range s.rebuild {
+		if err := r.Rebuild(); err != nil {
+			s.fail(err)
+			break
+		}
+	}
+	return s.err
 }
 
 // podCache memoizes the per-type verdict: nil for a type that is not plain
@@ -473,7 +495,7 @@ var zeroBlock [256]byte
 // then b's raw tail of fewer than 8 bytes. A non-empty mask (padMask) clears
 // padding first: masked words are tested for zero, and literal runs and the
 // tail are written through the literal buffer.
-func (w *Writer) writePOD(b []byte, mask []uint64) {
+func (w *Stream) writePOD(b []byte, mask []uint64) {
 	const block = len(zeroBlock) / 8
 	words := len(b) / 8
 	if uint64(words) > math.MaxUint32 {
@@ -541,7 +563,7 @@ func (w *Writer) writePOD(b []byte, mask []uint64) {
 // readPOD fills b from a section written by writePOD. b must be zero on
 // entry: zero runs are skipped, not written. A run that is empty or reaches
 // past b fails with ErrRun before anything is written for it.
-func (r *Reader) readPOD(b []byte) {
+func (r *Stream) readPOD(b []byte) {
 	words := uint64(len(b) / 8)
 	for pos := uint64(0); pos < words && r.err == nil; {
 		r.readRaw(r.scratch[:])
@@ -562,55 +584,57 @@ func (r *Reader) readPOD(b []byte) {
 	r.readRaw(b[words*8:])
 }
 
-// Slice writes a length-prefixed, zero-run encoded dump of a POD slice.
-func Slice[T any](w *Writer, s []T) {
-	mask := assertPOD[T]()
-	w.U64(uint64(len(s)))
-	w.writePOD(rawBytes(s), mask)
-}
-
-// ReadSlice reads a slice written by Slice, reusing s's backing array when it
-// is large enough. It returns the restored slice.
-func ReadSlice[T any](r *Reader, s []T) []T {
-	assertPOD[T]()
-	n := r.U64()
-	if n > maxAlloc/max(uint64(unsafe.Sizeof(*new(T))), 1) {
-		r.fail(fmt.Errorf("ckpt: implausible slice length %d", n))
-		return s[:0]
-	}
-	if uint64(cap(s)) >= n {
-		s = s[:n]
-		clear(s)
-	} else {
-		s = make([]T, n)
-	}
-	r.readPOD(rawBytes(s))
-	return s
-}
-
-// ReadSliceFixed reads a slice written by Slice into s in place, failing
-// unless the stored length equals len(s). Use it for geometry-sized tables
-// whose length is fixed by the configuration.
-func ReadSliceFixed[T any](r *Reader, s []T) {
-	assertPOD[T]()
-	if n := r.U64(); n != uint64(len(s)) {
-		r.fail(fmt.Errorf("ckpt: slice length %d, want %d (geometry mismatch)", n, len(s)))
+// Slice codes a length-prefixed, zero-run encoded POD slice. A decoder
+// reuses *v's backing array when it is large enough.
+func Slice[T any](s *Stream, v *[]T) {
+	if !s.dec {
+		Fixed(s, *v)
 		return
 	}
-	clear(s)
-	r.readPOD(rawBytes(s))
-}
-
-// Struct writes one POD struct, zero-run encoded like a slice section.
-func Struct[T any](w *Writer, v *T) {
-	mask := assertPOD[T]()
-	w.writePOD(unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v)), mask)
-}
-
-// ReadStruct reads a struct written by Struct.
-func ReadStruct[T any](r *Reader, v *T) {
 	assertPOD[T]()
+	var n uint64
+	s.U64(&n)
+	if n > maxAlloc/max(uint64(unsafe.Sizeof(*new(T))), 1) {
+		s.fail(fmt.Errorf("ckpt: implausible slice length %d", n))
+		*v = (*v)[:0]
+		return
+	}
+	if uint64(cap(*v)) >= n {
+		*v = (*v)[:n]
+		clear(*v)
+	} else {
+		*v = make([]T, n)
+	}
+	s.readPOD(rawBytes(*v))
+}
+
+// Fixed codes a POD slice whose length the geometry fixes, in the same form
+// as Slice. A decoder fills v in place and fails with ErrLength unless the
+// stream holds exactly len(v) elements.
+func Fixed[T any](s *Stream, v []T) {
+	mask := assertPOD[T]()
+	n := uint64(len(v))
+	s.U64(&n)
+	if !s.dec {
+		s.writePOD(rawBytes(v), mask)
+		return
+	}
+	if n != uint64(len(v)) {
+		s.fail(fmt.Errorf("%w: %d elements, want %d", ErrLength, n, len(v)))
+		return
+	}
+	clear(v)
+	s.readPOD(rawBytes(v))
+}
+
+// Struct codes one POD struct, zero-run encoded like a slice section.
+func Struct[T any](s *Stream, v *T) {
+	mask := assertPOD[T]()
 	b := unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v))
+	if !s.dec {
+		s.writePOD(b, mask)
+		return
+	}
 	clear(b)
-	r.readPOD(b)
+	s.readPOD(b)
 }

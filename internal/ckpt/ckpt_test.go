@@ -19,24 +19,24 @@ const headerLen = len(magic) + 4 + 8 + 8
 func encodeSlice[T any](t *testing.T, s []T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	Slice(w, s)
+	w := NewEncoder(&buf)
+	Slice(w, &s)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// roundTripSlice checks every reader of a Slice section against s: ReadSlice
-// into a fresh and into a dirty reused backing array, and ReadSliceFixed into
-// a dirty destination whose backing array extends past it. It returns the
-// section's encoded length (length prefix included).
+// roundTripSlice checks every decoding of a Slice section against s: Slice
+// into a fresh and into a dirty reused backing array, and Fixed into a dirty
+// destination whose backing array extends past it. It returns the section's
+// encoded length (length prefix included).
 func roundTripSlice[T comparable](t *testing.T, s []T, dirty T) int {
 	t.Helper()
 	blob := encodeSlice(t, s)
-	read := func(f func(r *Reader)) {
+	read := func(f func(r *Stream)) {
 		t.Helper()
-		r, err := NewReader(bytes.NewReader(blob))
+		r, err := NewDecoder(bytes.NewReader(blob))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,9 +46,10 @@ func roundTripSlice[T comparable](t *testing.T, s []T, dirty T) int {
 		}
 	}
 
-	read(func(r *Reader) {
-		if got := ReadSlice(r, []T(nil)); !slices.Equal(got, s) {
-			t.Errorf("ReadSlice into nil = %v, want %v", got, s)
+	read(func(r *Stream) {
+		var got []T
+		if Slice(r, &got); !slices.Equal(got, s) {
+			t.Errorf("Slice into nil = %v, want %v", got, s)
 		}
 	})
 
@@ -56,9 +57,9 @@ func roundTripSlice[T comparable](t *testing.T, s []T, dirty T) int {
 	for i := range reused {
 		reused[i] = dirty
 	}
-	read(func(r *Reader) {
-		if got := ReadSlice(r, reused); !slices.Equal(got, s) {
-			t.Errorf("ReadSlice into a dirty buffer = %v, want %v", got, s)
+	read(func(r *Stream) {
+		if Slice(r, &reused); !slices.Equal(reused, s) {
+			t.Errorf("Slice into a dirty buffer = %v, want %v", reused, s)
 		}
 	})
 
@@ -66,15 +67,15 @@ func roundTripSlice[T comparable](t *testing.T, s []T, dirty T) int {
 	for i := range backing {
 		backing[i] = dirty
 	}
-	read(func(r *Reader) {
-		ReadSliceFixed(r, backing[:len(s)])
+	read(func(r *Stream) {
+		Fixed(r, backing[:len(s)])
 	})
 	if !slices.Equal(backing[:len(s)], s) {
-		t.Errorf("ReadSliceFixed = %v, want %v", backing[:len(s)], s)
+		t.Errorf("Fixed = %v, want %v", backing[:len(s)], s)
 	}
 	for i, v := range backing[len(s):] {
 		if v != dirty {
-			t.Errorf("ReadSliceFixed wrote past its destination at %d", len(s)+i)
+			t.Errorf("Fixed wrote past its destination at %d", len(s)+i)
 		}
 	}
 	return len(blob) - headerLen - 8
@@ -141,75 +142,68 @@ type podStruct struct {
 func TestStructAndPrimitivesRoundTrip(t *testing.T) {
 	want := podStruct{A: 1, B: [5]uint16{0, 2}, C: true, E: 2.5}
 	want.D[39] = -4
+	type prims struct {
+		u64      uint64
+		u32      uint32
+		b        bool
+		i64      int64
+		i        int
+		empty, s string
+	}
+	in := prims{1 << 60, 7, true, -3, -9, "", "hello"}
+	walk := func(s *Stream, p *prims, v *podStruct) {
+		s.Tag("sec")
+		s.U64(&p.u64)
+		s.U32(&p.u32)
+		s.Bool(&p.b)
+		s.I64(&p.i64)
+		s.Int(&p.i)
+		s.Str(&p.empty)
+		s.Str(&p.s)
+		Struct(s, v)
+	}
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Mark("sec")
-	w.U64(1 << 60)
-	w.U32(7)
-	w.Bool(true)
-	w.I64(-3)
-	w.Int(-9)
-	w.F64(0.25)
-	w.Str("")
-	w.Str("hello")
-	Struct(w, &want)
+	w := NewEncoder(&buf)
+	walk(w, &in, &want)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if in != (prims{1 << 60, 7, true, -3, -9, "", "hello"}) {
+		t.Errorf("encoding changed its values: %+v", in)
+	}
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewDecoder(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Expect("sec")
-	if v := r.U64(); v != 1<<60 {
-		t.Errorf("U64 = %d", v)
-	}
-	if v := r.U32(); v != 7 {
-		t.Errorf("U32 = %d", v)
-	}
-	if !r.Bool() {
-		t.Error("Bool = false")
-	}
-	if v := r.I64(); v != -3 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := r.Int(); v != -9 {
-		t.Errorf("Int = %d", v)
-	}
-	if v := r.F64(); v != 0.25 {
-		t.Errorf("F64 = %v", v)
-	}
-	if s := r.Str(); s != "" {
-		t.Errorf("Str = %q, want empty", s)
-	}
-	if s := r.Str(); s != "hello" {
-		t.Errorf("Str = %q", s)
-	}
+	out := prims{empty: "stale", s: "stale"}
 	got := podStruct{A: 99, C: false, E: 1}
 	got.D[0] = 5
-	ReadStruct(r, &got)
+	walk(r, &out, &got)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if out != in {
+		t.Errorf("primitives = %+v, want %+v", out, in)
+	}
 	if got != want {
-		t.Errorf("ReadStruct = %+v, want %+v", got, want)
+		t.Errorf("Struct = %+v, want %+v", got, want)
 	}
 }
 
 func TestReadSliceFixedLengthMismatch(t *testing.T) {
 	blob := encodeSlice(t, []uint64{1, 2, 3})
-	r, err := NewReader(bytes.NewReader(blob))
+	r, err := NewDecoder(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := []uint64{7, 7}
-	ReadSliceFixed(r, dst)
-	if r.Err() == nil {
-		t.Fatal("ReadSliceFixed accepted a 3-element section into 2 elements")
+	Fixed(r, dst)
+	if !errors.Is(r.Err(), ErrLength) {
+		t.Fatalf("Fixed of a 3-element section into 2 elements: error %v, want ErrLength", r.Err())
 	}
 	if dst[0] != 7 || dst[1] != 7 {
-		t.Errorf("refused ReadSliceFixed modified its destination: %v", dst)
+		t.Errorf("refused Fixed modified its destination: %v", dst)
 	}
 }
 
@@ -219,10 +213,10 @@ func TestReadSliceFixedLengthMismatch(t *testing.T) {
 func craftSection(t *testing.T, n uint64, runs ...uint32) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U64(n)
+	w := NewEncoder(&buf)
+	w.U64(&n)
 	for _, v := range runs {
-		w.U32(v)
+		w.U32(&v)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -245,26 +239,27 @@ func TestMalformedRuns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			blob := craftSection(t, 4, tc.runs...)
 
-			r, err := NewReader(bytes.NewReader(blob))
+			r, err := NewDecoder(bytes.NewReader(blob))
 			if err != nil {
 				t.Fatal(err)
 			}
 			backing := []uint64{9, 9, 9, 9, 9, 9}
-			ReadSliceFixed(r, backing[:4])
+			Fixed(r, backing[:4])
 			if !errors.Is(r.Err(), ErrRun) {
-				t.Errorf("ReadSliceFixed error = %v, want ErrRun", r.Err())
+				t.Errorf("Fixed error = %v, want ErrRun", r.Err())
 			}
 			if backing[4] != 9 || backing[5] != 9 {
 				t.Errorf("malformed run wrote past the destination: %v", backing)
 			}
 
-			r, err = NewReader(bytes.NewReader(blob))
+			r, err = NewDecoder(bytes.NewReader(blob))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ReadSlice(r, []uint64(nil))
+			var got []uint64
+			Slice(r, &got)
 			if !errors.Is(r.Close(), ErrRun) {
-				t.Errorf("ReadSlice error = %v, want ErrRun", r.Err())
+				t.Errorf("Slice error = %v, want ErrRun", r.Err())
 			}
 		})
 	}
@@ -273,12 +268,12 @@ func TestMalformedRuns(t *testing.T) {
 func TestTruncatedStream(t *testing.T) {
 	blob := encodeSlice(t, []uint64{1, 0, 0, 0, 2, 3, 0, 4})
 	for n := 0; n < len(blob); n++ {
-		r, err := NewReader(bytes.NewReader(blob[:n]))
+		r, err := NewDecoder(bytes.NewReader(blob[:n]))
 		if err != nil {
 			continue
 		}
 		dst := make([]uint64, 8)
-		ReadSliceFixed(r, dst)
+		Fixed(r, dst)
 		if err := r.Close(); err == nil {
 			t.Errorf("stream truncated to %d of %d bytes read without error", n, len(blob))
 		}
@@ -289,11 +284,12 @@ func TestFlippedPayloadBit(t *testing.T) {
 	blob := encodeSlice(t, []uint64{1, 2, 3})
 	// Header, length prefix, one run header, then the first literal word.
 	blob[headerLen+8+8] ^= 0x10
-	r, err := NewReader(bytes.NewReader(blob))
+	r, err := NewDecoder(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ReadSlice(r, []uint64(nil))
+	var got []uint64
+	Slice(r, &got)
 	if err := r.Close(); !errors.Is(err, ErrChecksum) {
 		t.Errorf("Close = %v, want ErrChecksum", err)
 	}
@@ -302,8 +298,8 @@ func TestFlippedPayloadBit(t *testing.T) {
 func TestVersion3Refused(t *testing.T) {
 	blob := encodeSlice(t, []uint64{1})
 	binary.LittleEndian.PutUint32(blob[len(magic):], 3)
-	if _, err := NewReader(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {
-		t.Errorf("NewReader on a v3 header = %v, want ErrVersion", err)
+	if _, err := NewDecoder(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {
+		t.Errorf("NewDecoder on a v3 header = %v, want ErrVersion", err)
 	}
 }
 
@@ -365,7 +361,7 @@ func TestPaddingEncodesAsZero(t *testing.T) {
 	scribble(garbage[:], clean[:])
 	encode := func(v *[3]padded) []byte {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := NewEncoder(&buf)
 		Struct(w, v)
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
@@ -387,45 +383,52 @@ func TestPrimitivesDoNotAllocate(t *testing.T) {
 	btb := new(btbLike)
 	btb[3][1].target = 5
 
-	w := NewWriter(io.Discard)
+	w := NewEncoder(io.Discard)
 	if n := testing.AllocsPerRun(100, func() {
-		w.U64(1)
-		w.U32(2)
-		w.Bool(true)
-		w.Str("tag")
-		Slice(w, table)
+		u64, u32, b, tag := uint64(1), uint32(2), true, "tag"
+		w.U64(&u64)
+		w.U32(&u32)
+		w.Bool(&b)
+		w.Str(&tag)
+		Slice(w, &table)
 		Struct(w, btb)
 	}); n != 0 {
-		t.Errorf("Writer allocates %.1f times per round", n)
+		t.Errorf("encoder allocates %.1f times per round", n)
 	}
 
 	const rounds = 101 // AllocsPerRun's warm-up call plus its runs
 	var buf bytes.Buffer
-	w = NewWriter(&buf)
+	w = NewEncoder(&buf)
 	for i := 0; i < rounds; i++ {
-		w.Mark("section")
-		w.U64(1)
-		w.U32(2)
-		w.Bool(true)
-		Slice(w, table)
+		u64, u32, b := uint64(1), uint32(2), true
+		w.Tag("section")
+		w.U64(&u64)
+		w.U32(&u32)
+		w.Bool(&b)
+		Slice(w, &table)
 		Struct(w, btb)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewDecoder(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(rounds-1, func() {
-		r.Expect("section")
-		r.U64()
-		r.U32()
-		r.Bool()
-		ReadSliceFixed(r, table)
-		ReadStruct(r, btb)
+		var (
+			u64 uint64
+			u32 uint32
+			b   bool
+		)
+		r.Tag("section")
+		r.U64(&u64)
+		r.U32(&u32)
+		r.Bool(&b)
+		Fixed(r, table)
+		Struct(r, btb)
 	}); n != 0 {
-		t.Errorf("Reader allocates %.1f times per round", n)
+		t.Errorf("decoder allocates %.1f times per round", n)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -442,54 +445,59 @@ type fuzzStruct struct {
 	C [9]uint64
 }
 
+// fuzzSchema is the stream FuzzReader decodes, walked in both directions.
+type fuzzSchema struct {
+	tag      string
+	nVals    uint64 // len(vals)
+	nTriples uint32 // len(triples)
+	hasTag   bool   // tag != ""
+	fixed    []uint16
+	vals     []uint64
+	triples  [][3]byte
+	st       fuzzStruct
+}
+
+func (f *fuzzSchema) walk(s *Stream) {
+	s.Tag("fuzz")
+	s.Str(&f.tag)
+	s.U64(&f.nVals)
+	s.U32(&f.nTriples)
+	s.Bool(&f.hasTag)
+	Fixed(s, f.fixed)
+	Slice(s, &f.vals)
+	Slice(s, &f.triples)
+	Struct(s, &f.st)
+}
+
 // encodeFuzzSchema writes the stream FuzzReader decodes. The seed corpus in
 // testdata/fuzz/FuzzReader was produced from it.
 func encodeFuzzSchema(tag string, fixed []uint16, vals []uint64, triples [][3]byte, st *fuzzStruct) []byte {
+	f := fuzzSchema{tag, uint64(len(vals)), uint32(len(triples)), tag != "", fixed, vals, triples, *st}
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Mark("fuzz")
-	w.Str(tag)
-	w.U64(uint64(len(vals)))
-	w.U32(uint32(len(triples)))
-	w.Bool(len(tag) > 0)
-	Slice(w, fixed)
-	Slice(w, vals)
-	Slice(w, triples)
-	Struct(w, st)
+	w := NewEncoder(&buf)
+	f.walk(w)
 	if err := w.Close(); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
 }
 
-// fuzzFixedLen is the geometry of the schema's ReadSliceFixed section.
+// fuzzFixedLen is the geometry of the schema's Fixed section.
 const fuzzFixedLen = 37
 
 // FuzzReader decodes arbitrary bytes as the schema encodeFuzzSchema writes.
 // Property: the decode ends in success or an error, never a panic, and
-// allocates nothing beyond the Reader itself and the values whose length
+// allocates nothing beyond the decoder itself and the values whose length
 // prefixes passed the bound.
 func FuzzReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fixed := make([]uint16, fuzzFixedLen)
 		var (
-			st            fuzzStruct
-			tag           string
-			vals          []uint64
-			triples       [][3]byte
+			schema        = fuzzSchema{fixed: make([]uint16, fuzzFixedLen)}
 			before, after runtime.MemStats
 		)
 		runtime.ReadMemStats(&before)
-		if r, err := NewReader(bytes.NewReader(data)); err == nil {
-			r.Expect("fuzz")
-			tag = r.Str()
-			r.U64()
-			r.U32()
-			r.Bool()
-			ReadSliceFixed(r, fixed)
-			vals = ReadSlice(r, vals)
-			triples = ReadSlice(r, triples)
-			ReadStruct(r, &st)
+		if r, err := NewDecoder(bytes.NewReader(data)); err == nil {
+			schema.walk(r)
 			decodeErr := r.Err()
 			if err := r.Close(); decodeErr != nil && err == nil {
 				t.Fatalf("Close succeeded after a decode error: %v", decodeErr)
@@ -497,10 +505,10 @@ func FuzzReader(f *testing.F) {
 		}
 		runtime.ReadMemStats(&after)
 
-		// The Reader and its 64 KiB buffer, error values, and the decoded
+		// The decoder and its 64 KiB buffer, error values, and the decoded
 		// values' own backing arrays.
 		const slack = 256 << 10
-		bound := uint64(slack + len(tag) + 8*cap(vals) + 3*cap(triples))
+		bound := uint64(slack + len(schema.tag) + 8*cap(schema.vals) + 3*cap(schema.triples))
 		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 			t.Fatalf("decode allocated %d bytes, bound %d", got, bound)
 		}

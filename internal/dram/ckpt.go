@@ -7,22 +7,12 @@ import "rsepsim/internal/ckpt"
 // average latencies exactly (integer sums add; averages do not).
 func (m *Memory) TotalReadLatency() uint64 { return m.totalLatency }
 
-// Save serializes the bank state and statistics.
-func (m *Memory) Save(w *ckpt.Writer) {
-	w.Mark("dram")
-	ckpt.Slice(w, m.banks)
-	w.U64(m.Reads)
-	w.U64(m.RowHits)
-	w.U64(m.RowConflicts)
-	w.U64(m.totalLatency)
-}
-
-// Load restores state saved by Save into a memory of identical geometry.
-func (m *Memory) Load(r *ckpt.Reader) {
-	r.Expect("dram")
-	ckpt.ReadSliceFixed(r, m.banks)
-	m.Reads = r.U64()
-	m.RowHits = r.U64()
-	m.RowConflicts = r.U64()
-	m.totalLatency = r.U64()
+// Walk hands the bank state and statistics to s.
+func (m *Memory) Walk(s *ckpt.Stream) {
+	s.Tag("dram")
+	ckpt.Fixed(s, m.banks)
+	s.U64(&m.Reads)
+	s.U64(&m.RowHits)
+	s.U64(&m.RowConflicts)
+	s.U64(&m.totalLatency)
 }

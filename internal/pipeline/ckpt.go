@@ -3,7 +3,8 @@ package pipeline
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"rsepsim/internal/ckpt"
 	"rsepsim/internal/config"
@@ -24,131 +25,40 @@ func (c *Core) Checkpoint(w io.Writer) error {
 	if c.cfgKey == "" {
 		c.cfgKey = c.cfg.SeedlessHash()
 	}
-	cw := ckpt.NewWriter(w)
-	cw.Str(c.cfgKey)
-	cw.I64(c.cfg.Seed)
-	cw.U64(c.rngSrc.steps)
-
-	cw.Mark("core")
-	ckpt.Struct(cw, &c.stats)
-	cw.U64(c.cycle)
-
-	// Front end.
-	c.bp.Save(cw)
-	c.mh.SaveFrontend(cw)
-	c.src.Save(cw)
-	ckpt.Slice(cw, c.fetchQ)
-	cw.Int(c.fqHead)
-	cw.U32(c.fetchBlocked)
-	cw.U64(c.fetchResume)
-	cw.U64(c.lastLine)
-	cw.Bool(c.srcDone)
-
-	// Rename.
-	c.rat.Save(cw)
-	c.prf.Save(cw)
-	c.isrb.Save(cw)
-	ckpt.Slice(cw, c.epochs)
-	ckpt.Slice(cw, c.ring)
-
-	// Backend queues and ports.
-	ckpt.Slice(cw, c.rob)
-	cw.Int(c.robHead)
-	cw.Int(c.iqCount)
-	ckpt.Slice(cw, c.lq)
-	ckpt.Slice(cw, c.sq)
-	ckpt.Slice(cw, c.valQ)
-	for i := range c.ports {
-		cw.U64(c.ports[i].busyUntil)
-	}
-
-	// Memory system.
-	c.mh.SaveData(cw)
-	c.ss.Save(cw)
-
-	// RSEP machinery. Component presence is a function of the config, which
-	// the geometry hash already pins, so nil guards need no presence bytes.
-	if c.distPred != nil {
-		c.distPred.Save(cw)
-	}
-	if c.distHist != nil {
-		c.distHist.Save(cw)
-	}
-	if c.pairer != nil {
-		c.pairer.Save(cw)
-	}
-	if c.zp != nil {
-		c.zp.Save(cw)
-	}
-	if c.hrf != nil {
-		c.hrf.Save(cw)
-	}
-	cw.U64(c.csn)
-
-	// Value prediction.
-	if c.vp != nil {
-		c.vp.Save(cw)
-		c.vpHist.Save(cw)
-	}
-
-	// Figure 1 oracle. Keys are sorted so identical states produce
-	// byte-identical checkpoints.
-	if c.valCount != nil {
-		cw.Mark("oracle")
-		keys := make([]uint64, 0, len(c.valCount))
-		for k := range c.valCount {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		cw.Int(len(keys))
-		for _, k := range keys {
-			cw.U64(k)
-			cw.Int(c.valCount[k])
-		}
-		ckpt.Slice(cw, c.valWritten)
-	}
-
-	// Dyn arena and scan state.
-	cw.Mark("arena")
-	ckpt.Slice(cw, c.darena)
-	ckpt.Slice(cw, c.hot)
-	ckpt.Slice(cw, c.dynFree)
-
-	// Completion events and wakeup machinery. regWaitBuf and freeScratch
-	// are intra-stage scratch, empty at every cycle boundary — not saved.
-	ckpt.Struct(cw, &c.evtHead)
-	ckpt.Struct(cw, &c.evtTail)
-	ckpt.Slice(cw, c.evtHeap)
-	cw.U64(c.evtHeapSeq)
-	ckpt.Slice(cw, c.readyList)
-	cw.Bool(c.readyStale)
-	for i := range c.wakeSlots {
-		ckpt.Slice(cw, c.wakeSlots[i])
-	}
-	ckpt.Slice(cw, c.wakeHeap)
-	ckpt.Slice(cw, c.memSleepers)
-
-	return cw.Close()
+	s := ckpt.NewEncoder(w)
+	key, seed := c.cfgKey, c.cfg.Seed
+	s.Str(&key)
+	s.I64(&seed)
+	s.U64(&c.rngSrc.steps)
+	c.walk(s)
+	return s.Close()
 }
 
 // Restore rewinds the core to a checkpointed state, reusing every table and
 // arena already allocated. It refuses (with an error) unless cfg describes
 // the machine geometry of the core's last New or ResetFor and both match the
-// geometry and seed the checkpoint was taken under; src must be a fresh instance of the same instruction source the
-// checkpointed run consumed, positioned at its first instruction — the trace
-// window is re-derived from it rather than stored.
+// geometry and seed the checkpoint was taken under; src must be a fresh
+// instance of the same instruction source the checkpointed run consumed,
+// positioned at its first instruction — the trace window is re-derived from
+// it rather than stored. Derived state (the RNG position, the trace window,
+// indexes and filters) is rebuilt only once the checksum has matched.
 func (c *Core) Restore(cfg *config.Config, src trace.Source, r io.Reader) error {
 	if c.cfgKey == "" {
 		c.cfgKey = c.cfg.SeedlessHash()
 	}
-	cr, err := ckpt.NewReader(r)
+	s, err := ckpt.NewDecoder(r)
 	if err != nil {
 		return err
 	}
-	key := cr.Str()
-	seed := cr.I64()
-	rngSteps := cr.U64()
-	if err := cr.Err(); err != nil {
+	var (
+		key   string
+		seed  int64
+		steps uint64
+	)
+	s.Str(&key)
+	s.I64(&seed)
+	s.U64(&steps)
+	if err := s.Err(); err != nil {
 		return err
 	}
 	if h := cfg.SeedlessHash(); h != c.cfgKey {
@@ -163,105 +73,129 @@ func (c *Core) Restore(cfg *config.Config, src trace.Source, r io.Reader) error 
 	c.cfg = cfg
 	c.committedTarget = 0
 	c.cancel = nil
-	c.rngSrc.restore(seed, rngSteps)
+	c.rngSrc.seed, c.rngSrc.steps = seed, steps
+	s.Rebuild(c.rngSrc)
+	c.src.Reset(src)
+	c.walk(s)
+	// Intra-stage scratch, empty at every cycle boundary: not stored.
+	c.regWaitBuf = c.regWaitBuf[:0]
+	c.freeScratch = c.freeScratch[:0]
+	return s.Close()
+}
 
-	cr.Expect("core")
-	ckpt.ReadStruct(cr, &c.stats)
-	c.cycle = cr.U64()
+// walk hands the core's state to s in stream order: the one list of
+// checkpointed state, run by both Checkpoint and Restore.
+func (c *Core) walk(s *ckpt.Stream) {
+	s.Tag("core")
+	ckpt.Struct(s, &c.stats)
+	s.U64(&c.cycle)
 
 	// Front end.
-	c.bp.Load(cr)
-	c.mh.LoadFrontend(cr)
-	if err := c.src.Load(cr, src); err != nil {
-		return err
-	}
-	c.fetchQ = ckpt.ReadSlice(cr, c.fetchQ)
-	c.fqHead = cr.Int()
-	c.fetchBlocked = cr.U32()
-	c.fetchResume = cr.U64()
-	c.lastLine = cr.U64()
-	c.srcDone = cr.Bool()
+	c.bp.Walk(s)
+	c.mh.WalkFrontend(s)
+	c.src.Walk(s)
+	ckpt.Slice(s, &c.fetchQ)
+	s.Int(&c.fqHead)
+	s.U32(&c.fetchBlocked)
+	s.U64(&c.fetchResume)
+	s.U64(&c.lastLine)
+	s.Bool(&c.srcDone)
 
 	// Rename.
-	c.rat.Load(cr)
-	c.prf.Load(cr)
-	c.isrb.Load(cr)
-	ckpt.ReadSliceFixed(cr, c.epochs)
-	c.ring = ckpt.ReadSlice(cr, c.ring)
+	c.rat.Walk(s)
+	c.prf.Walk(s)
+	c.isrb.Walk(s)
+	ckpt.Fixed(s, c.epochs)
+	ckpt.Slice(s, &c.ring)
 
 	// Backend queues and ports.
-	c.rob = ckpt.ReadSlice(cr, c.rob)
-	c.robHead = cr.Int()
-	c.iqCount = cr.Int()
-	c.lq = ckpt.ReadSlice(cr, c.lq)
-	c.sq = ckpt.ReadSlice(cr, c.sq)
-	c.valQ = ckpt.ReadSlice(cr, c.valQ)
+	ckpt.Slice(s, &c.rob)
+	s.Int(&c.robHead)
+	s.Int(&c.iqCount)
+	ckpt.Slice(s, &c.lq)
+	ckpt.Slice(s, &c.sq)
+	ckpt.Slice(s, &c.valQ)
 	for i := range c.ports {
-		c.ports[i].busyUntil = cr.U64()
+		s.U64(&c.ports[i].busyUntil)
 	}
 
 	// Memory system.
-	c.mh.LoadData(cr)
-	c.ss.Load(cr)
+	c.mh.WalkData(s)
+	c.ss.Walk(s)
 
-	// RSEP machinery.
+	// RSEP machinery. Component presence is a function of the config, which
+	// the geometry hash already pins, so nil guards need no presence bytes.
 	if c.distPred != nil {
-		c.distPred.Load(cr)
+		c.distPred.Walk(s)
 	}
 	if c.distHist != nil {
-		c.distHist.Load(cr)
+		c.distHist.Walk(s)
 	}
 	if c.pairer != nil {
-		c.pairer.Load(cr)
+		c.pairer.Walk(s)
 	}
 	if c.zp != nil {
-		c.zp.Load(cr)
+		c.zp.Walk(s)
 	}
 	if c.hrf != nil {
-		c.hrf.Load(cr)
+		c.hrf.Walk(s)
 	}
-	c.csn = cr.U64()
+	s.U64(&c.csn)
 
 	// Value prediction.
 	if c.vp != nil {
-		c.vp.Load(cr)
-		c.vpHist.Load(cr)
+		c.vp.Walk(s)
+		c.vpHist.Walk(s)
 	}
 
 	// Figure 1 oracle.
 	if c.valCount != nil {
-		cr.Expect("oracle")
-		clear(c.valCount)
-		n := cr.Int()
-		for i := 0; i < n && cr.Err() == nil; i++ {
-			k := cr.U64()
-			c.valCount[k] = cr.Int()
-		}
-		ckpt.ReadSliceFixed(cr, c.valWritten)
+		s.Tag("oracle")
+		c.walkValCount(s)
+		ckpt.Fixed(s, c.valWritten)
 	}
 
 	// Dyn arena and scan state.
-	cr.Expect("arena")
-	c.darena = ckpt.ReadSlice(cr, c.darena)
-	c.hot = ckpt.ReadSlice(cr, c.hot)
-	c.dynFree = ckpt.ReadSlice(cr, c.dynFree)
+	s.Tag("arena")
+	ckpt.Slice(s, &c.darena)
+	ckpt.Slice(s, &c.hot)
+	ckpt.Slice(s, &c.dynFree)
 
 	// Completion events and wakeup machinery.
-	ckpt.ReadStruct(cr, &c.evtHead)
-	ckpt.ReadStruct(cr, &c.evtTail)
-	c.evtHeap = ckpt.ReadSlice(cr, c.evtHeap)
-	c.evtHeapSeq = cr.U64()
-	c.readyList = ckpt.ReadSlice(cr, c.readyList)
-	c.readyStale = cr.Bool()
+	ckpt.Struct(s, &c.evtHead)
+	ckpt.Struct(s, &c.evtTail)
+	ckpt.Slice(s, &c.evtHeap)
+	s.U64(&c.evtHeapSeq)
+	ckpt.Slice(s, &c.readyList)
+	s.Bool(&c.readyStale)
 	for i := range c.wakeSlots {
-		c.wakeSlots[i] = ckpt.ReadSlice(cr, c.wakeSlots[i])
+		ckpt.Slice(s, &c.wakeSlots[i])
 	}
-	c.wakeHeap = ckpt.ReadSlice(cr, c.wakeHeap)
-	c.memSleepers = ckpt.ReadSlice(cr, c.memSleepers)
-	c.regWaitBuf = c.regWaitBuf[:0]
-	c.freeScratch = c.freeScratch[:0]
+	ckpt.Slice(s, &c.wakeHeap)
+	ckpt.Slice(s, &c.memSleepers)
+}
 
-	return cr.Close()
+// walkValCount hands the Figure 1 value counts to s as a count and then
+// key/count pairs, keys sorted so identical states encode identically.
+func (c *Core) walkValCount(s *ckpt.Stream) {
+	n := len(c.valCount)
+	s.Int(&n)
+	if !s.Decoding() {
+		for _, k := range slices.Sorted(maps.Keys(c.valCount)) {
+			v := c.valCount[k]
+			s.U64(&k)
+			s.Int(&v)
+		}
+		return
+	}
+	clear(c.valCount)
+	for i := 0; i < n && s.Err() == nil; i++ {
+		var k uint64
+		var v int
+		s.U64(&k)
+		s.Int(&v)
+		c.valCount[k] = v
+	}
 }
 
 // NewFromCheckpoint builds a core for cfg and restores it from the checkpoint

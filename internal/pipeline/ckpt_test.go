@@ -2,13 +2,43 @@ package pipeline
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"runtime"
 	"testing"
 
+	"rsepsim/internal/ckpt"
 	"rsepsim/internal/config"
 	"rsepsim/internal/rsep"
+	"rsepsim/internal/trace"
 	"rsepsim/internal/vpred"
 	"rsepsim/internal/workload"
 )
+
+// checkpointCases are the runs the checkpoint tests pause and restore: the
+// golden configurations on their golden benchmarks, plus aliasSource for
+// the store sets.
+func checkpointCases() []struct {
+	name string
+	cfg  *config.Config
+	src  func() trace.Source
+} {
+	bench := func(name string) func() trace.Source {
+		return func() trace.Source { return workload.New(workload.MustByName(name), 7) }
+	}
+	return []struct {
+		name string
+		cfg  *config.Config
+		src  func() trace.Source
+	}{
+		{"baseline", config.TableI(), bench("mcf")},
+		{"rsep-realistic", config.TableI().WithRSEP(rsep.Realistic()), bench("hmmer")},
+		{"rsep-vp", config.TableI().WithRSEP(rsep.Ideal()).WithVP(vpred.BeBoP()), bench("mcf")},
+		{"storesets", config.TableI(), func() trace.Source { return &aliasSource{} }},
+	}
+}
 
 // TestCheckpointRoundTrip is the checkpoint contract: pausing a run at a cycle
 // boundary, serializing the core, restoring it into a *different* core object
@@ -16,23 +46,14 @@ import (
 // byte-identical to an uninterrupted run. The cases mirror the golden runs so
 // every serialized component — predictors, caches, TLBs, DRAM banks, store
 // sets, the dyn arena, the wakeup machinery, the trace window and the RNG
-// position — is exercised with live in-flight state.
+// position — is exercised with live in-flight state. The store-sets case
+// runs aliasSource, whose trained SSIT decides how many loads still violate
+// after the pause.
 func TestCheckpointRoundTrip(t *testing.T) {
-	cases := []struct {
-		name  string
-		bench string
-		cfg   *config.Config
-	}{
-		{"baseline", "mcf", config.TableI()},
-		{"rsep-realistic", "hmmer", config.TableI().WithRSEP(rsep.Realistic())},
-		{"rsep-vp", "mcf", config.TableI().WithRSEP(rsep.Ideal()).WithVP(vpred.BeBoP())},
-	}
 	const warmup, half, measure = 10_000, 10_000, 20_000
-	for _, tc := range cases {
+	for _, tc := range checkpointCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			src := func() *workload.Gen {
-				return workload.New(workload.MustByName(tc.bench), 7)
-			}
+			src := tc.src
 
 			mono := New(tc.cfg, src())
 			mono.Run(warmup)
@@ -71,6 +92,51 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			warm.Run(measure - warm.Stats().Committed)
 			if got := statsJSON(t, warm); !bytes.Equal(got, want) {
 				t.Errorf("warm-restored run diverges from uninterrupted run\n got: %s\nwant: %s", got, want)
+			}
+		})
+	}
+}
+
+// TestCheckpointBytesPinned pins the checkpoint encoding: the SHA-256 of
+// each checkpointCases blob taken at a fixed pause point, and that restoring
+// a blob into a second core and checkpointing it again reproduces the same
+// bytes. POD sections are dumped in the native memory layout, so the hashes
+// hold on amd64 only.
+func TestCheckpointBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("checkpoint bytes depend on the native memory layout; pinned on amd64")
+	}
+	want := map[string]string{
+		"baseline":       "eab1a88bc8ac843c15a0a0074be48d93750bd1318f8a00f758da531101084934",
+		"rsep-realistic": "0dbca338e6017c3401f660299b367dbd11ef25eef54dc8c4bee3bad171d2a3b9",
+		"rsep-vp":        "830526ceee2a44bdc96af6f55e6dc8b041b77083d1477bd53ecd013f08904a6a",
+		"storesets":      "67e89d08473b86380ddcfe16f99625461006fc78bb15e0d3c700fd24aa877018",
+	}
+	for _, tc := range checkpointCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			core := New(tc.cfg, tc.src())
+			core.Run(10_000)
+			core.ResetStats()
+			core.Run(10_000)
+			var blob bytes.Buffer
+			if err := core.Checkpoint(&blob); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(blob.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != want[tc.name] {
+				t.Errorf("checkpoint of %d bytes has SHA-256 %s, want %s", blob.Len(), got, want[tc.name])
+			}
+
+			second, err := NewFromCheckpoint(tc.cfg, tc.src(), bytes.NewReader(blob.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var again bytes.Buffer
+			if err := second.Checkpoint(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), blob.Bytes()) {
+				t.Errorf("checkpoint of a restored core differs: %d bytes, want %d", again.Len(), blob.Len())
 			}
 		})
 	}
@@ -154,6 +220,58 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(blob.Len()), "ckpt_bytes")
+		})
+	}
+}
+
+// TestDamagedCheckpointRebuildsNothing pins that a restore verifies the
+// checksum before any work sized by decoded values. Each case flips one bit
+// of a value that sizes such work: the RNG position (draws to replay) and
+// the replay window's head and size (instructions to redraw from the
+// source). Rebuilding from any of them would run for minutes or exhaust
+// memory; the restore must instead fail with ckpt.ErrChecksum at once.
+func TestDamagedCheckpointRebuildsNothing(t *testing.T) {
+	cfg := config.TableI().WithRSEP(rsep.Realistic())
+	src := func() trace.Source { return workload.New(workload.MustByName("hmmer"), 7) }
+	core := New(cfg, src())
+	core.Run(20_000)
+	var blob bytes.Buffer
+	if err := core.Checkpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	// The RNG position follows the stream header (magic, version and two
+	// probes), the length-prefixed geometry key and the seed; the replay
+	// window's head and size follow its section tag.
+	steps := (8 + 4 + 8 + 8) + (8 + len(core.cfgKey)) + 8
+	replayTag := append(binary.LittleEndian.AppendUint64(nil, 6), "replay"...)
+	head := bytes.Index(blob.Bytes(), replayTag) + len(replayTag)
+	if head < len(replayTag) {
+		t.Fatal("no replay section in the checkpoint")
+	}
+	cases := []struct {
+		name     string
+		off, bit int
+	}{
+		{"rng-steps", steps, 44},
+		{"replay-head", head, 36},
+		{"replay-size", head + 8, 30},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := bytes.Clone(blob.Bytes())
+			bad[tc.off+tc.bit/8] ^= 1 << (tc.bit % 8)
+			warm := New(cfg, src())
+			fresh := src()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := warm.Restore(cfg, fresh, bytes.NewReader(bad))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ckpt.ErrChecksum) {
+				t.Errorf("Restore = %v, want ckpt.ErrChecksum", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("refused restore allocated %d bytes, want < 1 MiB", got)
+			}
 		})
 	}
 }

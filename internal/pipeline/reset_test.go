@@ -9,6 +9,7 @@ import (
 
 	"rsepsim/internal/config"
 	"rsepsim/internal/rsep"
+	"rsepsim/internal/trace"
 	"rsepsim/internal/vpred"
 	"rsepsim/internal/workload"
 )
@@ -78,6 +79,21 @@ func TestCoreReuseDeterminism(t *testing.T) {
 		}
 		return statsJSON(t, core), buf.Bytes()
 	}
+	// reuse resets the warm worker for cfg over src and compares its run
+	// with a fresh core's.
+	reuse := func(t *testing.T, reused *Core, cfg *config.Config, src trace.Source, wantStats, wantCkpt []byte) {
+		t.Helper()
+		if !reused.ResetFor(cfg, src) {
+			t.Fatal("ResetFor refused a config")
+		}
+		gotStats, gotCkpt := run(reused)
+		if !bytes.Equal(gotStats, wantStats) {
+			t.Errorf("reused core diverges from fresh core\n got: %s\nwant: %s", gotStats, wantStats)
+		}
+		if !bytes.Equal(gotCkpt, wantCkpt) {
+			t.Errorf("reused core checkpoints %d bytes differing from a fresh core's %d", len(gotCkpt), len(wantCkpt))
+		}
+	}
 	cfgs := reuseConfigs()
 	for _, to := range cfgs {
 		t.Run(to.name, func(t *testing.T) {
@@ -91,20 +107,24 @@ func TestCoreReuseDeterminism(t *testing.T) {
 					inter.Seed = 99
 					reused := New(inter, workload.New(workload.MustByName("xalancbmk"), 5))
 					reused.Run(15_000)
-					if !reused.ResetFor(cfg, src()) {
-						t.Fatal("ResetFor refused a config")
-					}
-					gotStats, gotCkpt := run(reused)
-					if !bytes.Equal(gotStats, wantStats) {
-						t.Errorf("reused core diverges from fresh core\n got: %s\nwant: %s", gotStats, wantStats)
-					}
-					if !bytes.Equal(gotCkpt, wantCkpt) {
-						t.Errorf("reused core checkpoints %d bytes differing from a fresh core's %d", len(gotCkpt), len(wantCkpt))
-					}
+					reuse(t, reused, cfg, src(), wantStats, wantCkpt)
 				})
 			}
 		})
 	}
+
+	// The profile workloads never train the store sets, so one pair runs
+	// aliasSource on both sides: the worker's learned store sets must not
+	// survive into the job.
+	t.Run("storesets/from-storesets", func(t *testing.T) {
+		cfg := config.TableI()
+		wantStats, wantCkpt := run(New(cfg, &aliasSource{}))
+		inter := cfg.Clone()
+		inter.Seed = 99
+		reused := New(inter, &aliasSource{})
+		reused.Run(15_000)
+		reuse(t, reused, cfg, &aliasSource{}, wantStats, wantCkpt)
+	})
 }
 
 // TestResetForGeometryChange pins what ResetFor does to the checkpoint

@@ -10,11 +10,12 @@ import "math/rand"
 // (rng.Intn(2)), so the replay cost at restore is microscopic.
 type countingSource struct {
 	src   rand.Source64
+	seed  int64
 	steps uint64
 }
 
 func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	return &countingSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
 }
 
 func (s *countingSource) Int63() int64 {
@@ -29,14 +30,18 @@ func (s *countingSource) Uint64() uint64 {
 
 func (s *countingSource) Seed(seed int64) {
 	s.src.Seed(seed)
+	s.seed = seed
 	s.steps = 0
 }
 
-// restore reseeds and replays the source forward to step position n.
-func (s *countingSource) restore(seed int64, n uint64) {
-	s.Seed(seed)
-	for i := uint64(0); i < n; i++ {
+// Rebuild reseeds the source with seed and replays it forward to step
+// position steps, both set by Restore from a checkpoint.
+func (s *countingSource) Rebuild() error {
+	n := s.steps
+	s.Seed(s.seed)
+	for range n {
 		s.src.Int63()
 	}
 	s.steps = n
+	return nil
 }

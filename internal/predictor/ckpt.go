@@ -2,61 +2,34 @@ package predictor
 
 import "rsepsim/internal/ckpt"
 
-// Save serializes the full history state. The folded registers carry their
-// geometry (fold widths) inline; Load overwrites them with identical values
-// when the geometries match and fails on a length mismatch.
-func (g *GlobalHistory) Save(w *ckpt.Writer) {
-	w.Mark("ghist")
-	ckpt.Slice(w, g.bits)
-	w.Int(g.pos)
-	w.U64(g.path)
-	ckpt.Slice(w, g.folds)
+// Walk hands the full history state to s. The folded registers carry their
+// geometry (fold widths) inline; a decoder overwrites them with identical
+// values when the geometries match and fails on a length mismatch.
+func (g *GlobalHistory) Walk(s *ckpt.Stream) {
+	s.Tag("ghist")
+	ckpt.Fixed(s, g.bits)
+	s.Int(&g.pos)
+	s.U64(&g.path)
+	ckpt.Fixed(s, g.folds)
 }
 
-// Load restores state saved by Save into a history of identical geometry.
-func (g *GlobalHistory) Load(r *ckpt.Reader) {
-	r.Expect("ghist")
-	ckpt.ReadSliceFixed(r, g.bits)
-	g.pos = r.Int()
-	g.path = r.U64()
-	ckpt.ReadSliceFixed(r, g.folds)
-}
-
-// Save serializes every table and the aging clock. Tagged components are
-// written as their struct-of-arrays halves — metadata then payloads, per
-// component (format version 3). The allocation RNG is shared and serialized
-// by its owner.
-func (t *TAGE[P]) Save(w *ckpt.Writer) {
-	w.Mark("tage")
-	ckpt.Slice(w, t.base)
+// Walk hands every table and the aging clock to s. Tagged components are
+// coded as their struct-of-arrays halves — metadata then payloads, per
+// component (format version 3). The allocation RNG is shared and
+// checkpointed by its owner.
+func (t *TAGE[P]) Walk(s *ckpt.Stream) {
+	s.Tag("tage")
+	ckpt.Fixed(s, t.base)
 	for i, tbl := range t.tables {
-		ckpt.Slice(w, tbl)
-		ckpt.Slice(w, t.payloads[i])
+		ckpt.Fixed(s, tbl)
+		ckpt.Fixed(s, t.payloads[i])
 	}
-	w.Int(t.ticks)
+	s.Int(&t.ticks)
 }
 
-// Load restores state saved by Save into a predictor of identical geometry.
-func (t *TAGE[P]) Load(r *ckpt.Reader) {
-	r.Expect("tage")
-	ckpt.ReadSliceFixed(r, t.base)
-	for i, tbl := range t.tables {
-		ckpt.ReadSliceFixed(r, tbl)
-		ckpt.ReadSliceFixed(r, t.payloads[i])
-	}
-	t.ticks = r.Int()
-}
-
-// Save serializes both tables.
-func (g *GShare[P]) Save(w *ckpt.Writer) {
-	w.Mark("gshare")
-	ckpt.Slice(w, g.pcTab)
-	ckpt.Slice(w, g.ghTab)
-}
-
-// Load restores state saved by Save into a predictor of identical geometry.
-func (g *GShare[P]) Load(r *ckpt.Reader) {
-	r.Expect("gshare")
-	ckpt.ReadSliceFixed(r, g.pcTab)
-	ckpt.ReadSliceFixed(r, g.ghTab)
+// Walk hands both tables to s.
+func (g *GShare[P]) Walk(s *ckpt.Stream) {
+	s.Tag("gshare")
+	ckpt.Fixed(s, g.pcTab)
+	ckpt.Fixed(s, g.ghTab)
 }

@@ -2,60 +2,32 @@ package regfile
 
 import "rsepsim/internal/ckpt"
 
-// Save serializes the register values, ready cycles, allocation map, waiter
-// lists and both free lists (whose order determines future allocations and so
-// must be preserved exactly).
-func (f *File) Save(w *ckpt.Writer) {
-	w.Mark("prf")
-	ckpt.Slice(w, f.vals)
-	ckpt.Slice(w, f.readyAt)
-	ckpt.Slice(w, f.alloc)
+// Walk hands the register values, ready cycles, allocation map, waiter lists
+// and both free lists (whose order determines future allocations and so must
+// be preserved exactly) to s.
+func (f *File) Walk(s *ckpt.Stream) {
+	s.Tag("prf")
+	ckpt.Fixed(s, f.vals)
+	ckpt.Fixed(s, f.readyAt)
+	ckpt.Fixed(s, f.alloc)
 	for i := range f.waiters {
-		ckpt.Slice(w, f.waiters[i])
+		ckpt.Slice(s, &f.waiters[i])
 	}
-	ckpt.Slice(w, f.intFree)
-	ckpt.Slice(w, f.fpFree)
+	ckpt.Slice(s, &f.intFree)
+	ckpt.Slice(s, &f.fpFree)
 }
 
-// Load restores state saved by Save into a file of identical geometry.
-func (f *File) Load(r *ckpt.Reader) {
-	r.Expect("prf")
-	ckpt.ReadSliceFixed(r, f.vals)
-	ckpt.ReadSliceFixed(r, f.readyAt)
-	ckpt.ReadSliceFixed(r, f.alloc)
-	for i := range f.waiters {
-		f.waiters[i] = ckpt.ReadSlice(r, f.waiters[i])
-	}
-	f.intFree = ckpt.ReadSlice(r, f.intFree)
-	f.fpFree = ckpt.ReadSlice(r, f.fpFree)
+// Walk hands the architectural-to-physical mappings to s.
+func (r *RAT) Walk(s *ckpt.Stream) {
+	s.Tag("rat")
+	ckpt.Fixed(s, r.m)
 }
 
-// Save serializes the architectural-to-physical mappings.
-func (r *RAT) Save(w *ckpt.Writer) {
-	w.Mark("rat")
-	ckpt.Slice(w, r.m)
-}
-
-// Load restores state saved by Save into a RAT of identical size.
-func (r *RAT) Load(cr *ckpt.Reader) {
-	cr.Expect("rat")
-	ckpt.ReadSliceFixed(cr, r.m)
-}
-
-// Save serializes the live entries and statistics.
-func (b *ISRB) Save(w *ckpt.Writer) {
-	w.Mark("isrb")
-	ckpt.Slice(w, b.entries)
-	w.U64(b.ShareOK)
-	w.U64(b.ShareFullRejects)
-	w.U64(b.Frees)
-}
-
-// Load restores state saved by Save.
-func (b *ISRB) Load(r *ckpt.Reader) {
-	r.Expect("isrb")
-	b.entries = ckpt.ReadSlice(r, b.entries)
-	b.ShareOK = r.U64()
-	b.ShareFullRejects = r.U64()
-	b.Frees = r.U64()
+// Walk hands the live entries and statistics to s.
+func (b *ISRB) Walk(s *ckpt.Stream) {
+	s.Tag("isrb")
+	ckpt.Slice(s, &b.entries)
+	s.U64(&b.ShareOK)
+	s.U64(&b.ShareFullRejects)
+	s.U64(&b.Frees)
 }

@@ -2,102 +2,63 @@ package rsep
 
 import "rsepsim/internal/ckpt"
 
-// Save serializes the underlying TAGE engine.
-func (d *TAGEDist) Save(w *ckpt.Writer) {
-	w.Mark("distpred:tage")
-	d.tage.Save(w)
+// Walk hands the underlying TAGE engine to s.
+func (d *TAGEDist) Walk(s *ckpt.Stream) {
+	s.Tag("distpred:tage")
+	d.tage.Walk(s)
 }
 
-// Load restores state saved by Save.
-func (d *TAGEDist) Load(r *ckpt.Reader) {
-	r.Expect("distpred:tage")
-	d.tage.Load(r)
+// Walk hands the underlying gshare tables to s.
+func (d *GShareDist) Walk(s *ckpt.Stream) {
+	s.Tag("distpred:gshare")
+	d.g.Walk(s)
 }
 
-// Save serializes the underlying gshare tables.
-func (d *GShareDist) Save(w *ckpt.Writer) {
-	w.Mark("distpred:gshare")
-	d.g.Save(w)
+// Walk hands the ring, CSN window and statistics to s. The bucket heads are
+// not stored: a decoder queues Rebuild to derive them from the window.
+func (h *FIFOHistory) Walk(s *ckpt.Stream) {
+	s.Tag("pairer:fifo")
+	ckpt.Fixed(s, h.ring)
+	s.U64(&h.minCSN)
+	s.U64(&h.nextCSN)
+	s.U64(&h.Finds)
+	s.U64(&h.Matches)
+	s.U64(&h.PredictedMatches)
+	s.Rebuild(h)
 }
 
-// Load restores state saved by Save.
-func (d *GShareDist) Load(r *ckpt.Reader) {
-	r.Expect("distpred:gshare")
-	d.g.Load(r)
-}
-
-// Save serializes the ring, bucket heads, CSN window and statistics.
-func (h *FIFOHistory) Save(w *ckpt.Writer) {
-	w.Mark("pairer:fifo")
-	ckpt.Slice(w, h.ring)
-	w.U64(h.minCSN)
-	w.U64(h.nextCSN)
-	w.U64(h.Finds)
-	w.U64(h.Matches)
-	w.U64(h.PredictedMatches)
-}
-
-// Load restores state saved by Save into a history of identical geometry.
-// The bucket heads are not serialized: replaying the live CSN window in push
-// order reconstructs each bucket's most recent CSN. Heads that pointed below
-// the window at save time come back as noCSN, which the chain walk treats
+// Rebuild reconstructs each bucket's most recent CSN by replaying the live
+// CSN window in push order. Heads that pointed below the window when the
+// checkpoint was taken come back as noCSN, which the chain walk treats
 // identically (both terminate before reading a slot).
-func (h *FIFOHistory) Load(r *ckpt.Reader) {
-	r.Expect("pairer:fifo")
-	ckpt.ReadSliceFixed(r, h.ring)
-	h.minCSN = r.U64()
-	h.nextCSN = r.U64()
-	h.Finds = r.U64()
-	h.Matches = r.U64()
-	h.PredictedMatches = r.U64()
+func (h *FIFOHistory) Rebuild() error {
 	for i := range h.heads {
 		h.heads[i] = noCSN
 	}
 	for csn := h.minCSN; csn < h.nextCSN; csn++ {
 		h.heads[h.ring[h.slot(csn)].hash&h.bktMask] = csn
 	}
+	return nil
 }
 
-// Save serializes the table and statistics.
-func (d *DDT) Save(w *ckpt.Writer) {
-	w.Mark("pairer:ddt")
-	ckpt.Slice(w, d.entries)
-	w.U64(d.Finds)
-	w.U64(d.Matches)
+// Walk hands the table and statistics to s.
+func (d *DDT) Walk(s *ckpt.Stream) {
+	s.Tag("pairer:ddt")
+	ckpt.Fixed(s, d.entries)
+	s.U64(&d.Finds)
+	s.U64(&d.Matches)
 }
 
-// Load restores state saved by Save into a table of identical geometry.
-func (d *DDT) Load(r *ckpt.Reader) {
-	r.Expect("pairer:ddt")
-	ckpt.ReadSliceFixed(r, d.entries)
-	d.Finds = r.U64()
-	d.Matches = r.U64()
+// Walk hands the confidence table and statistics to s.
+func (z *ZeroPredictor) Walk(s *ckpt.Stream) {
+	s.Tag("zeropred")
+	ckpt.Fixed(s, z.entries)
+	s.U64(&z.Lookups)
+	s.U64(&z.Predicted)
 }
 
-// Save serializes the confidence table and statistics.
-func (z *ZeroPredictor) Save(w *ckpt.Writer) {
-	w.Mark("zeropred")
-	ckpt.Slice(w, z.entries)
-	w.U64(z.Lookups)
-	w.U64(z.Predicted)
-}
-
-// Load restores state saved by Save into a predictor of identical geometry.
-func (z *ZeroPredictor) Load(r *ckpt.Reader) {
-	r.Expect("zeropred")
-	ckpt.ReadSliceFixed(r, z.entries)
-	z.Lookups = r.U64()
-	z.Predicted = r.U64()
-}
-
-// Save serializes the stored hashes.
-func (h *HRF) Save(w *ckpt.Writer) {
-	w.Mark("hrf")
-	ckpt.Slice(w, h.hashes)
-}
-
-// Load restores state saved by Save into an HRF of identical geometry.
-func (h *HRF) Load(r *ckpt.Reader) {
-	r.Expect("hrf")
-	ckpt.ReadSliceFixed(r, h.hashes)
+// Walk hands the stored hashes to s.
+func (h *HRF) Walk(s *ckpt.Stream) {
+	s.Tag("hrf")
+	ckpt.Fixed(s, h.hashes)
 }

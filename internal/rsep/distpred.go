@@ -43,11 +43,8 @@ type DistPredictor interface {
 	HistoryLengths() []int
 	// Reset clears all learned state in place, as if freshly constructed.
 	Reset()
-	// Save serializes all learned state for checkpointing.
-	Save(w *ckpt.Writer)
-	// Load restores state saved by Save into a predictor of identical
-	// geometry.
-	Load(r *ckpt.Reader)
+	// Walk hands all learned state to a checkpoint stream.
+	Walk(s *ckpt.Stream)
 }
 
 // TAGEDistConfig sizes the TAGE-based distance predictor.

@@ -24,11 +24,8 @@ type Pairer interface {
 	StorageBits() int
 	// Reset clears all recorded history in place, as if freshly constructed.
 	Reset()
-	// Save serializes all recorded history for checkpointing.
-	Save(w *ckpt.Writer)
-	// Load restores state saved by Save into a structure of identical
-	// geometry.
-	Load(r *ckpt.Reader)
+	// Walk hands all recorded history to a checkpoint stream.
+	Walk(s *ckpt.Stream)
 }
 
 // FIFOHistory keeps the hashes of the n most recently retired

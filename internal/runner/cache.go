@@ -79,7 +79,7 @@ func (c *Cache) PutSlice(k SliceKey, st *metrics.Stats) {
 }
 
 // GetCheckpoint returns the checkpoint blob stored under k. The stored slice
-// is handed out directly: the checkpoint reader never mutates its input, and
+// is handed out directly: a checkpoint decoder never mutates its input, and
 // the cache's copy is its own (see PutCheckpoint).
 func (c *Cache) GetCheckpoint(k CheckpointKey) ([]byte, bool) {
 	c.mu.Lock()

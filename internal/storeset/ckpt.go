@@ -2,22 +2,14 @@ package storeset
 
 import "rsepsim/internal/ckpt"
 
-// Save serializes the SSIT, LFST, SSID allocator and statistics.
-func (t *Table) Save(w *ckpt.Writer) {
-	w.Mark("storeset")
-	ckpt.Slice(w, t.ssit)
-	ckpt.Slice(w, t.lfst)
-	w.I64(int64(t.nextSSID))
-	w.U64(t.Violations)
-	w.U64(t.Merges)
-}
-
-// Load restores state saved by Save into a table of identical geometry.
-func (t *Table) Load(r *ckpt.Reader) {
-	r.Expect("storeset")
-	ckpt.ReadSliceFixed(r, t.ssit)
-	ckpt.ReadSliceFixed(r, t.lfst)
-	t.nextSSID = int32(r.I64())
-	t.Violations = r.U64()
-	t.Merges = r.U64()
+// Walk hands the SSIT, LFST, SSID allocator and statistics to s.
+func (t *Table) Walk(s *ckpt.Stream) {
+	s.Tag("storeset")
+	ckpt.Fixed(s, t.ssit)
+	ckpt.Fixed(s, t.lfst)
+	next := int64(t.nextSSID)
+	s.I64(&next)
+	t.nextSSID = int32(next)
+	s.U64(&t.Violations)
+	s.U64(&t.Merges)
 }

@@ -6,54 +6,45 @@ import (
 	"rsepsim/internal/ckpt"
 )
 
-// Save serializes the replay window coordinates. The buffered instructions
-// themselves are not written: sources are pure functions of their seed, so
-// Load re-derives the window by redrawing from a fresh source. This keeps
-// checkpoints independent of the ring's grown capacity and of uarch.Inst's
-// in-memory layout.
-func (r *Replay) Save(w *ckpt.Writer) {
-	w.Mark("replay")
-	w.U64(r.head)
-	w.Int(r.size)
-	w.Int(r.pos)
-	w.Bool(r.done)
+// Walk hands the replay window coordinates to s. The buffered instructions
+// themselves are not stored: sources are pure functions of their seed, so a
+// decoder queues Rebuild to redraw the window from a fresh source. This
+// keeps checkpoints independent of the ring's grown capacity and of
+// uarch.Inst's in-memory layout. Before decoding, Reset the buffer to a
+// fresh source identical to the one the checkpoint was taken over,
+// positioned at its first instruction.
+func (r *Replay) Walk(s *ckpt.Stream) {
+	s.Tag("replay")
+	s.U64(&r.head)
+	s.Int(&r.size)
+	s.Int(&r.pos)
+	s.Bool(&r.done)
+	s.Rebuild(r)
 }
 
-// Load rebinds the buffer to src — a fresh source identical to the one the
-// checkpoint was taken over, positioned at its first instruction — then
-// fast-forwards past the released prefix and redraws the retained window.
-// Errors if the source runs dry before the window is rebuilt, which means
-// src does not match the checkpointed stream.
-func (r *Replay) Load(cr *ckpt.Reader, src Source) error {
-	cr.Expect("replay")
-	head := cr.U64()
-	size := cr.Int()
-	pos := cr.Int()
-	done := cr.Bool()
-	if err := cr.Err(); err != nil {
-		return err
-	}
-	r.Reset(src)
+// Rebuild fast-forwards the source past the released prefix and redraws the
+// retained window. It errors if the source runs dry first, which means the
+// source does not match the checkpointed stream.
+func (r *Replay) Rebuild() error {
+	head, size := r.head, r.size
+	r.size = 0
 	for i := uint64(0); i < head; i++ {
-		if _, ok := src.Next(); !ok {
+		if _, ok := r.src.Next(); !ok {
 			return fmt.Errorf("trace: source exhausted at instruction %d restoring a replay window released through %d", i, head)
 		}
 	}
-	r.head = head // must precede the redraw: grow() re-places slots relative to head
-	for i := 0; i < size; i++ {
+	for r.size < size {
 		if r.size == len(r.ring) {
-			r.grow()
+			r.grow() // re-places slots relative to head, which is already set
 		}
-		in, ok := src.Next()
+		in, ok := r.src.Next()
 		if !ok {
-			return fmt.Errorf("trace: source exhausted at instruction %d restoring a replay window of %d retained", head+uint64(i), size)
+			return fmt.Errorf("trace: source exhausted at instruction %d restoring a replay window of %d retained", head+uint64(r.size), size)
 		}
-		in.Seq = head + uint64(i)
+		in.Seq = head + uint64(r.size)
 		*r.at(in.Seq) = in
 		r.size++
 	}
-	r.pos = pos
 	r.nextSeq = head + uint64(size)
-	r.done = done
 	return nil
 }

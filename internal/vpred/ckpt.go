@@ -2,25 +2,14 @@ package vpred
 
 import "rsepsim/internal/ckpt"
 
-// Save serializes the last-value table, the stride TAGE and the statistics.
-// The tie-breaker RNG is shared and serialized by the core.
-func (d *DVTAGE) Save(w *ckpt.Writer) {
-	w.Mark("dvtage")
-	ckpt.Slice(w, d.lvt)
-	d.tage.Save(w)
-	w.U64(d.Lookups)
-	w.U64(d.Used)
-	w.U64(d.Correct)
-	w.U64(d.Wrong)
-}
-
-// Load restores state saved by Save into a predictor of identical geometry.
-func (d *DVTAGE) Load(r *ckpt.Reader) {
-	r.Expect("dvtage")
-	ckpt.ReadSliceFixed(r, d.lvt)
-	d.tage.Load(r)
-	d.Lookups = r.U64()
-	d.Used = r.U64()
-	d.Correct = r.U64()
-	d.Wrong = r.U64()
+// Walk hands the last-value table, the stride TAGE and the statistics to s.
+// The tie-breaker RNG is shared and checkpointed by the core.
+func (d *DVTAGE) Walk(s *ckpt.Stream) {
+	s.Tag("dvtage")
+	ckpt.Fixed(s, d.lvt)
+	d.tage.Walk(s)
+	s.U64(&d.Lookups)
+	s.U64(&d.Used)
+	s.U64(&d.Correct)
+	s.U64(&d.Wrong)
 }
