@@ -47,10 +47,7 @@ import (
 
 func main() {
 	var shared cliutil.Flags
-	shared.RegisterStore(flag.CommandLine)
-	shared.RegisterServer(flag.CommandLine)
-	shared.RegisterJSON(flag.CommandLine)
-	shared.RegisterSlices(flag.CommandLine)
+	shared.Register(flag.CommandLine)
 	var (
 		fig      = flag.String("fig", "all", "figure to regenerate: 1, 4, 5, 6, 7, hist, isrb, hash, comparators, gshare, table1, storage, all")
 		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all 29)")

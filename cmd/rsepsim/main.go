@@ -36,10 +36,7 @@ import (
 
 func main() {
 	var shared cliutil.Flags
-	shared.RegisterStore(flag.CommandLine)
-	shared.RegisterServer(flag.CommandLine)
-	shared.RegisterJSON(flag.CommandLine)
-	shared.RegisterSlices(flag.CommandLine)
+	shared.Register(flag.CommandLine)
 	var (
 		bench   = flag.String("bench", "mcf", "benchmark name")
 		mech    = flag.String("mech", "", "mechanisms: comma list of zeropred, moveelim, rsep, rsep-realistic, vp, oracle")

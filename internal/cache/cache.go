@@ -107,7 +107,8 @@ type Cache struct {
 
 	// Devirtualized next level: New recognises the two concrete Table I
 	// backends so the L1D→L2→L3→DRAM miss chain is direct calls; any other
-	// Backend (tests, exotic configs) falls back to interface dispatch.
+	// Backend (the tests' fixed-latency and reference levels) falls back to
+	// interface dispatch.
 	next      Backend
 	nextCache *Cache
 	nextMem   *dram.Memory
@@ -476,13 +477,4 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(c.Misses) / float64(c.Accesses)
-}
-
-// FixedLatency is a Backend with constant latency, useful for tests and as a
-// simple main-memory stand-in.
-type FixedLatency uint64
-
-// Access implements Backend.
-func (f FixedLatency) Access(_ uint64, cycle uint64, _, _ bool) uint64 {
-	return cycle + uint64(f)
 }

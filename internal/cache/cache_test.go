@@ -4,6 +4,15 @@ import (
 	"testing"
 )
 
+// FixedLatency is a Backend with constant latency: the next level of a
+// cache under test.
+type FixedLatency uint64
+
+// Access implements Backend.
+func (f FixedLatency) Access(_ uint64, cycle uint64, _, _ bool) uint64 {
+	return cycle + uint64(f)
+}
+
 func l1(next Backend) *Cache {
 	return New(Config{Name: "L1", SizeKB: 32, Ways: 8, Latency: 4, MSHRs: 4}, next)
 }

@@ -9,9 +9,8 @@ import (
 // shared L2, the L3, DRAM, and the two TLBs, wired as a struct of concrete
 // types so the L1D→L2→L3→DRAM miss chain is direct calls end to end (New
 // recognises the concrete backends; see Cache.fillFrom). The Backend
-// interface remains the seam for tests and exotic configurations — a
-// hierarchy is a convenience over individually constructed levels, not a
-// replacement for them.
+// interface remains the seam tests use to put a level in front of a
+// fixed-latency or reference next level.
 type Hierarchy struct {
 	L1I, L1D, L2, L3 *Cache
 	ITLB, DTLB       *TLB

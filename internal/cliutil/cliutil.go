@@ -1,9 +1,9 @@
 // Package cliutil centralizes the flag surface the simulation-facing
-// commands share. rsepsim, experiments and tracegen register the same flag
-// names with the same help text through one helper instead of three
-// hand-kept copies, and resolve them into an execution backend the same way
-// — so "-cache off" or "-server URL" means exactly the same thing whichever
-// binary it is passed to.
+// commands share. rsepsim and experiments register the same flag names with
+// the same help text through one helper instead of hand-kept copies, and
+// resolve them into an execution backend the same way — so "-cache off" or
+// "-server URL" means exactly the same thing whichever binary it is passed
+// to. rsepd, which is the server, takes only the store flags.
 package cliutil
 
 import (
@@ -14,9 +14,7 @@ import (
 	"rsepsim/internal/store"
 )
 
-// Flags is the shared command-line surface. A command registers the groups
-// it supports (every command takes the store group; tracegen has no remote
-// path, so it skips the server group) and resolves them with Backend after
+// Flags is the shared command-line surface, resolved with Backend after
 // flag.Parse.
 type Flags struct {
 	CacheDir  string
@@ -35,18 +33,12 @@ func (f *Flags) RegisterStore(fs *flag.FlagSet) {
 	fs.BoolVar(&f.CacheWarm, "cache-warm", false, "preload the memory tier from disk before running")
 }
 
-// RegisterServer adds -server, the remote-daemon switch.
-func (f *Flags) RegisterServer(fs *flag.FlagSet) {
+// Register adds the store trio plus -server (the remote-daemon switch),
+// -json and -slices: the whole surface of a command that runs simulations.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	f.RegisterStore(fs)
 	fs.StringVar(&f.Server, "server", "", "run on a rsepd daemon at this URL instead of in-process")
-}
-
-// RegisterJSON adds -json, the machine-readable output switch.
-func (f *Flags) RegisterJSON(fs *flag.FlagSet) {
 	fs.BoolVar(&f.JSON, "json", false, "emit machine-readable JSON instead of the text report")
-}
-
-// RegisterSlices adds -slices, the checkpoint-chained decomposition knob.
-func (f *Flags) RegisterSlices(fs *flag.FlagSet) {
 	fs.UintVar(&f.Slices, "slices", 0,
 		"decompose each job into this many checkpoint-chained slices; results are byte-identical, but a killed run resumes from finished slices (0 or 1: monolithic)")
 }

@@ -6,6 +6,7 @@ import (
 	"rsepsim/internal/config"
 	"rsepsim/internal/rsep"
 	"rsepsim/internal/trace"
+	"rsepsim/internal/uarch"
 	"rsepsim/internal/vpred"
 	"rsepsim/internal/workload"
 )
@@ -215,9 +216,23 @@ func TestDistancePropagationFIFO(t *testing.T) {
 	}
 }
 
+// limitedSource ends src after n instructions.
+type limitedSource struct {
+	src  trace.Source
+	left uint64
+}
+
+func (l *limitedSource) Next() (uarch.Inst, bool) {
+	if l.left == 0 {
+		return uarch.Inst{}, false
+	}
+	l.left--
+	return l.src.Next()
+}
+
 func TestEndOfStream(t *testing.T) {
 	prof := workload.MustByName("gamess")
-	src := trace.Limit(workload.New(prof, 3), 5000)
+	src := &limitedSource{src: workload.New(prof, 3), left: 5000}
 	core := New(config.TableI(), src)
 	got := core.Run(100_000)
 	if got < 4900 || got > 5000 {

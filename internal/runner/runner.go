@@ -92,7 +92,7 @@ func Simulate(ctx context.Context, j Job) (*metrics.Stats, error) {
 }
 
 // SimulateSource runs the warmup/measure protocol over an arbitrary
-// instruction source — a workload generator or a materialized trace file.
+// instruction source, such as a generator for a custom workload profile.
 // Jobs with custom sources bypass the cache (their outcome is not identified
 // by a benchmark name); named benchmarks should go through Simulate or a
 // Scheduler instead.

@@ -149,8 +149,17 @@ func (c *Client) RunBatch(ctx context.Context, b runner.Batch) ([]runner.Result,
 		}
 		switch ev.Event {
 		case "result":
-			if ev.Index < 0 || ev.Index >= len(results) {
-				return c.seal(ctx, b, results, &StreamError{Resolved: done, Err: fmt.Errorf("result index %d out of range", ev.Index)})
+			var bad error
+			switch {
+			case ev.Index < 0 || ev.Index >= len(results):
+				bad = fmt.Errorf("result index %d out of range", ev.Index)
+			case (ev.Stats == nil) == (ev.JobError == ""):
+				bad = fmt.Errorf("result %d carries neither or both of stats and job_error", ev.Index)
+			case results[ev.Index].Stats != nil || results[ev.Index].Err != nil:
+				bad = fmt.Errorf("result %d resolved twice", ev.Index)
+			}
+			if bad != nil {
+				return c.seal(ctx, b, results, &StreamError{Resolved: done, Err: bad})
 			}
 			if ev.JobError != "" {
 				results[ev.Index].Err = errors.New(ev.JobError)
@@ -187,6 +196,9 @@ func (c *Client) RunBatch(ctx context.Context, b runner.Batch) ([]runner.Result,
 			switch {
 			case ev.Partial != nil:
 				return results, ev.Partial.partialError()
+			case done != len(results):
+				// Only a partial final event may leave jobs unresolved.
+				return c.seal(ctx, b, results, &StreamError{Resolved: done, Err: fmt.Errorf("final event after %d of %d results", done, len(results))})
 			case ev.Error != "":
 				// The daemon's only non-partial batch error is the
 				// first-failure contract; rebuild it typed from the per-job

@@ -196,3 +196,38 @@ func TestStatusCarriesBuildInfo(t *testing.T) {
 		t.Fatalf("status Go = %q, want a toolchain version", st.Go)
 	}
 }
+
+// TestStreamLeavingJobsUnresolvedIsTyped: a stream whose events would leave
+// a job with neither stats nor an error — a result carrying neither or both,
+// an index resolved twice, a clean final event before every job resolved —
+// is a *StreamError, and every job ends with exactly one of the two.
+func TestStreamLeavingJobsUnresolvedIsTyped(t *testing.T) {
+	for name, body := range map[string]string{
+		"no stats or error": `{"event":"result","index":0,"stats":{}}
+{"event":"result","index":1}
+{"event":"result","index":2,"stats":{}}
+{"event":"done"}`,
+		"stats and error": `{"event":"result","index":0,"stats":{},"job_error":"boom"}
+{"event":"result","index":1,"stats":{}}
+{"event":"result","index":2,"stats":{}}
+{"event":"done"}`,
+		"resolved twice": `{"event":"result","index":0,"stats":{}}
+{"event":"result","index":0,"stats":{}}
+{"event":"result","index":1,"stats":{}}
+{"event":"done"}`,
+		"early done": `{"event":"result","index":0,"stats":{}}
+{"event":"result","index":1,"stats":{}}
+{"event":"done"}`,
+	} {
+		res, err := streamClient(t, []byte(body)).RunBatch(t.Context(), streamBatch())
+		var se *StreamError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: err = %v (%T), want a *StreamError", name, err, err)
+		}
+		for i, r := range res {
+			if (r.Stats == nil) == (r.Err == nil) {
+				t.Errorf("%s: job %d has stats %v and error %v", name, i, r.Stats != nil, r.Err)
+			}
+		}
+	}
+}

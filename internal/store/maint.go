@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -62,7 +61,7 @@ func (d *Disk) Verify() (valid int, bad []Corrupt, err error) {
 func (d *Disk) index() ([]Entry, []Corrupt, error) {
 	var entries []Entry
 	var rejects []Corrupt
-	var buf bytes.Buffer
+	var buf envBuf
 	root := filepath.Join(d.dir, version)
 	err := filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
 		if err != nil {

@@ -88,7 +88,7 @@ func (d *Disk) ckptPath(id string) string {
 // miss, exactly like Get; the whole-result hit/miss counters are untouched —
 // slices are an execution detail, not a result-plane outcome.
 func (d *Disk) GetSlice(k runner.SliceKey) (*metrics.Stats, bool) {
-	buf := readBufs.Get().(*bytes.Buffer)
+	buf := readBufs.Get().(*envBuf)
 	defer readBufs.Put(buf)
 	err := readEnvelopeFile(buf, d.slicePath(SliceID(k)))
 	if os.IsNotExist(err) {

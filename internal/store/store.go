@@ -165,7 +165,7 @@ func (d *Disk) Get(k runner.Key) (*metrics.Stats, bool) {
 // stats and envelope. A missing file returns an os.IsNotExist error; any
 // other failure means the entry exists but is unusable.
 func (d *Disk) load(k runner.Key) (*metrics.Stats, *envelope, error) {
-	buf := readBufs.Get().(*bytes.Buffer)
+	buf := readBufs.Get().(*envBuf)
 	defer readBufs.Put(buf)
 	if err := readEnvelopeFile(buf, d.path(ID(k))); err != nil {
 		return nil, nil, err
@@ -180,10 +180,18 @@ func (d *Disk) load(k runner.Key) (*metrics.Stats, *envelope, error) {
 	return st, env, nil
 }
 
+// envBuf is the buffer readEnvelope reads into, with the limited reader it
+// wraps the source in: kept alongside the buffer, the wrapper is not
+// allocated again on every read.
+type envBuf struct {
+	bytes.Buffer
+	lr io.LimitedReader
+}
+
 // readBufs recycles the read buffers of load and GetSlice: the decoders
 // copy everything they return out of the raw bytes, and a run answered from
 // the store reads one entry per job.
-var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var readBufs = sync.Pool{New: func() any { return new(envBuf) }}
 
 // maxEnvelope caps the bytes read for one result or slice envelope. The
 // envelopes Disk.write and PutSlice emit are about 1 KiB, so a larger file or
@@ -194,10 +202,12 @@ var errOversized = fmt.Errorf("store: envelope exceeds %d bytes", maxEnvelope)
 
 // readEnvelope reads one envelope from r into buf, which it resets first. It
 // stops one byte past maxEnvelope and then fails with errOversized.
-func readEnvelope(buf *bytes.Buffer, r io.Reader) error {
+func readEnvelope(buf *envBuf, r io.Reader) error {
 	buf.Reset()
-	lr := io.LimitedReader{R: r, N: maxEnvelope + 1}
-	if _, err := buf.ReadFrom(&lr); err != nil {
+	buf.lr = io.LimitedReader{R: r, N: maxEnvelope + 1}
+	_, err := buf.ReadFrom(&buf.lr)
+	buf.lr.R = nil // the pool must not keep the source alive
+	if err != nil {
 		return err
 	}
 	if buf.Len() > maxEnvelope {
@@ -208,7 +218,7 @@ func readEnvelope(buf *bytes.Buffer, r io.Reader) error {
 
 // readEnvelopeFile is readEnvelope over the file at path. A missing file
 // returns an os.IsNotExist error.
-func readEnvelopeFile(buf *bytes.Buffer, path string) error {
+func readEnvelopeFile(buf *envBuf, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -254,7 +264,7 @@ func (d *Disk) LoadRaw(id string) ([]byte, error) {
 	if _, err := hex.DecodeString(id); err != nil {
 		return nil, fmt.Errorf("store: malformed entry id %q", id)
 	}
-	var buf bytes.Buffer
+	var buf envBuf
 	if err := readEnvelopeFile(&buf, d.path(id)); err != nil {
 		return nil, err
 	}

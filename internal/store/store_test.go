@@ -482,6 +482,23 @@ func TestOversizedEnvelopesRejected(t *testing.T) {
 	}
 }
 
+// TestReadEnvelopeDoesNotAllocate: once the pooled buffer has grown, reading
+// an envelope allocates nothing, the limited reader included.
+func TestReadEnvelopeDoesNotAllocate(t *testing.T) {
+	raw := bytes.Repeat([]byte{'x'}, 1<<10)
+	r := bytes.NewReader(raw)
+	buf := new(envBuf)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(raw)
+		if err := readEnvelope(buf, r); err != nil || buf.Len() != len(raw) {
+			t.Fatalf("readEnvelope = %v, %d bytes; want %d", err, buf.Len(), len(raw))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("readEnvelope allocated %v times per read, want 0", allocs)
+	}
+}
+
 // totalAlloc returns the bytes allocated by the process so far.
 func totalAlloc() uint64 {
 	var ms runtime.MemStats

@@ -2,7 +2,6 @@ package store
 
 import (
 	"archive/tar"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -57,7 +56,7 @@ func (d *Disk) Export(w io.Writer) (exported int, err error) {
 // corruption that Verify reports.
 func (d *Disk) Import(r io.Reader) (imported, skipped, rejected int, err error) {
 	tr := tar.NewReader(r)
-	var buf bytes.Buffer
+	var buf envBuf
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {

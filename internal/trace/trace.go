@@ -1,7 +1,6 @@
 // Package trace defines the dynamic instruction stream interface between the
-// workload generators and the timing model, the replay buffer the pipeline
-// uses to re-fetch instructions after a squash, and a compact binary trace
-// format for storing streams on disk.
+// workload generators and the timing model, and the replay buffer the
+// pipeline uses to re-fetch instructions after a squash.
 package trace
 
 import "rsepsim/internal/uarch"
@@ -11,22 +10,6 @@ type Source interface {
 	// Next returns the next instruction. ok is false when the stream is
 	// exhausted.
 	Next() (in uarch.Inst, ok bool)
-}
-
-// Limit caps a source at n instructions.
-func Limit(src Source, n uint64) Source { return &limited{src: src, left: n} }
-
-type limited struct {
-	src  Source
-	left uint64
-}
-
-func (l *limited) Next() (uarch.Inst, bool) {
-	if l.left == 0 {
-		return uarch.Inst{}, false
-	}
-	l.left--
-	return l.src.Next()
 }
 
 // Replay adapts a Source for speculative consumption: the pipeline fetches

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -49,21 +48,6 @@ func randInst(rng *rand.Rand, pc uint64) uarch.Inst {
 		in.AddSrc(uarch.IntReg(rng.Intn(32)))
 	}
 	return in
-}
-
-func TestLimit(t *testing.T) {
-	src := &sliceSource{insts: make([]uarch.Inst, 10)}
-	lim := Limit(src, 3)
-	n := 0
-	for {
-		if _, ok := lim.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("Limit yielded %d, want 3", n)
-	}
 }
 
 func TestReplaySequencing(t *testing.T) {
@@ -216,63 +200,6 @@ func TestQuickReplayConsistency(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the binary trace format round-trips arbitrary instruction
-// streams exactly.
-func TestQuickFileRoundTrip(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		insts := make([]uarch.Inst, int(n)+1)
-		pc := uint64(0x10000)
-		for i := range insts {
-			insts[i] = randInst(rng, pc)
-			pc += 4
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		for i := range insts {
-			if err := w.Write(&insts[i]); err != nil {
-				return false
-			}
-		}
-		if w.Flush() != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		for i := range insts {
-			got, ok := r.Next()
-			if !ok {
-				return false
-			}
-			want := insts[i]
-			if got.PC != want.PC || got.Class != want.Class ||
-				got.Dst != want.Dst || got.NSrc != want.NSrc ||
-				got.Taken != want.Taken || got.ZeroIdiom != want.ZeroIdiom {
-				return false
-			}
-			if want.HasDest() && got.Result != want.Result {
-				return false
-			}
-			if want.IsMem() && (got.Addr != want.Addr || got.MemSz != want.MemSz) {
-				return false
-			}
-			if want.IsBranch() && got.Target != want.Target {
-				return false
-			}
-		}
-		_, ok := r.Next()
-		return !ok && r.Err() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
