@@ -3,7 +3,8 @@ package rsepsim
 // One benchmark per reproduced table/figure (DESIGN.md §4). Each iteration
 // performs the figure's full sweep at reduced scale — the -bench harness is
 // the machine-checked form of "the code that regenerates the evaluation".
-// Micro-benchmarks for the hot components follow.
+// Micro-benchmarks for the hot components follow; each of their ops is a
+// batch of microBatch calls.
 
 import (
 	"context"
@@ -143,18 +144,21 @@ func benchPipeline(b *testing.B, cfg *config.Config) {
 
 // BenchmarkPipelineWarmWorker measures the steady-state worker job cost: the
 // core is reset in place per job (pipeline.Core.ResetFor) instead of rebuilt,
-// exactly as the runner's core pool does between jobs. The gap between this
-// and BenchmarkPipelineBaseline is the per-job construction tax the pool
-// eliminates; allocs/op here is essentially the workload generator alone.
+// and the workload generator rewound in place (workload.Gen.Reset), exactly
+// as the runner's core and generator pools do between jobs. The gap between
+// this and BenchmarkPipelineBaseline is the per-job construction tax the
+// pools eliminate; what B/op remains is the generator's compiled kernels.
 func BenchmarkPipelineWarmWorker(b *testing.B) {
 	const insts = 50_000
 	cfg := config.TableI()
 	prof := workload.MustByName("mcf")
-	core := pipeline.New(cfg, workload.New(prof, 42))
+	gen := workload.New(prof, 42)
+	core := pipeline.New(cfg, gen)
 	core.Run(insts) // warm: grow arena, wheels, queues to the job's footprint
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.ResetFor(cfg, workload.New(prof, 42)) {
+		gen.Reset(prof, 42)
+		if !core.ResetFor(cfg, gen) {
 			b.Fatal("ResetFor refused the identical config")
 		}
 		core.Run(insts)
@@ -165,10 +169,10 @@ func BenchmarkPipelineWarmWorker(b *testing.B) {
 // BenchmarkPipelineMechanismSwitch measures a worker whose jobs alternate
 // mechanisms, as in the sliced daemon's baseline/RSEP/RSEP+VP rotation: one
 // core is reset in place (pipeline.Core.ResetFor) for a baseline, an RSEP
-// and an RSEP+VP job of 50k instructions each per op. B/op is the three
-// workloads plus the mechanism tables the switches rebuild — RSEP's when
-// RSEP returns after the baseline job, D-VTAGE's when VP joins — never a
-// whole core.
+// and an RSEP+VP job of 50k instructions each per op, over one generator
+// rewound per job. B/op is the mechanism tables the switches rebuild —
+// RSEP's when RSEP returns after the baseline job, D-VTAGE's when VP joins —
+// never a whole core or a generator.
 func BenchmarkPipelineMechanismSwitch(b *testing.B) {
 	const insts = 50_000
 	base := config.TableI()
@@ -178,25 +182,37 @@ func BenchmarkPipelineMechanismSwitch(b *testing.B) {
 		base.WithRSEP(rsep.Ideal()).WithVP(vpred.BeBoP()),
 	}
 	prof := workload.MustByName("mcf")
-	core := pipeline.New(cfgs[len(cfgs)-1], workload.New(prof, 42))
+	gen := workload.New(prof, 42)
+	core := pipeline.New(cfgs[len(cfgs)-1], gen)
 	core.Run(insts) // warm: grow arena, wheels, queues to the job's footprint
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range cfgs {
-			core.ResetFor(cfg, workload.New(prof, 42))
+			gen.Reset(prof, 42)
+			core.ResetFor(cfg, gen)
 			core.Run(insts)
 		}
 	}
 	b.ReportMetric(float64(len(cfgs)*insts), "insts/op")
 }
 
+// microBatch is the number of calls one op of a micro-benchmark makes. CI
+// runs the benchmarks at -benchtime 2x; with one call per op that timed two
+// calls, mostly timer overhead and first-call warm-up, so ns/op is the cost
+// of a whole batch and allocs/op what a warm batch allocates.
+const microBatch = 4096
+
 // BenchmarkWorkloadGen measures trace generation throughput alone.
 func BenchmarkWorkloadGen(b *testing.B) {
-	prof := workload.MustByName("xalancbmk")
-	g := workload.New(prof, 1)
+	g := workload.New(workload.MustByName("xalancbmk"), 1)
+	for range 16 * microBatch { // warm: grow the emission queue to its largest chunk
+		g.Next()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Next()
+		for range microBatch {
+			g.Next()
+		}
 	}
 }
 
@@ -205,7 +221,7 @@ func BenchmarkDistancePredictor(b *testing.B) {
 	dp := rsep.NewTAGEDist(rsep.RealisticTAGEDist(), nil, rand.New(rand.NewSource(1)))
 	hist := predictor.NewGlobalHistory(dp.HistoryLengths(), dp.HistoryWidths())
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N*microBatch; i++ {
 		lk := dp.Lookup(uint64(0x1000+(i%64)*4), hist)
 		dp.Update(&lk, uint16(i%32))
 	}
@@ -215,7 +231,7 @@ func BenchmarkDistancePredictor(b *testing.B) {
 func BenchmarkFIFOHistory(b *testing.B) {
 	h := rsep.NewFIFOHistory(128, 14, 10)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N*microBatch; i++ {
 		hash := rsep.FoldHash(uint64(i%97), 14)
 		h.Find(hash, uint64(i), uint16(i%64))
 		h.Push(hash, uint64(i))
@@ -225,7 +241,7 @@ func BenchmarkFIFOHistory(b *testing.B) {
 // BenchmarkFoldHash measures the result-hash function.
 func BenchmarkFoldHash(b *testing.B) {
 	var acc uint32
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N*microBatch; i++ {
 		acc ^= rsep.FoldHash(uint64(i)*0x9e3779b97f4a7c15, 14)
 	}
 	_ = acc
@@ -236,27 +252,28 @@ func BenchmarkDVTAGE(b *testing.B) {
 	vp := vpred.New(vpred.BeBoP(), nil, rand.New(rand.NewSource(1)))
 	hist := predictor.NewGlobalHistory(vp.HistoryLengths(), vp.HistoryWidths())
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N*microBatch; i++ {
 		lk := vp.Lookup(uint64(0x2000+(i%64)*4), hist)
 		vp.Update(&lk, uint64(i))
 	}
 }
 
-// BenchmarkBranchPredictor measures the front-end TAGE.
+// BenchmarkBranchPredictor measures the front-end TAGE, one committed
+// instruction of gobmk per call.
 func BenchmarkBranchPredictor(b *testing.B) {
 	bp := pipelineBranchBench()
 	b.ResetTimer()
-	bp(b.N)
+	bp(b.N * microBatch)
 }
 
 func pipelineBranchBench() func(int) {
 	// Kept in a helper so the bench body stays allocation-free.
 	core := pipeline.New(config.TableI(), workload.New(workload.MustByName("gobmk"), 3))
 	// Warm to the steady-state footprint first: with tiny -benchtime iteration
-	// counts the arena/ring/queue growth of the first few thousand committed
-	// instructions otherwise lands inside the timed region and shows up as
-	// per-op allocations in BENCH_PIPELINE.json.
-	core.Run(50_000)
+	// counts the arena/ring/queue growth of the first hundred thousand or so
+	// committed instructions otherwise lands inside the timed region and
+	// shows up as per-op allocations in BENCH_PIPELINE.json.
+	core.Run(200_000)
 	return func(n int) {
 		core.Run(uint64(n))
 	}

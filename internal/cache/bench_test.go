@@ -29,6 +29,10 @@ func tableIHierarchy() *Hierarchy {
 	})
 }
 
+// microBatch is the number of accesses one benchmark op makes, so that CI's
+// -benchtime 2x times thousands of accesses rather than two.
+const microBatch = 4096
+
 // lcg is a tiny deterministic address scrambler for the miss benchmarks —
 // fixed constants, so runs are reproducible without math/rand.
 func lcg(x uint64) uint64 { return x*6364136223846793005 + 1442695040888963407 }
@@ -46,7 +50,7 @@ func BenchmarkCacheHit(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N*microBatch; i++ {
 		cycle += 8
 		h.L1D.Access(uint64(i%lines)*LineBytes, cycle, false, false)
 	}
@@ -62,7 +66,7 @@ func BenchmarkCacheMissChain(b *testing.B) {
 	cycle := uint64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N*microBatch; i++ {
 		cycle += 400 // past DRAM latency, so MSHRs retire between accesses
 		addr := (lcg(uint64(i)) % footprint) * LineBytes
 		h.ReadPC(addr, 0, cycle)
@@ -80,12 +84,18 @@ func BenchmarkStreamObserve(b *testing.B) {
 		pos[i] = uint64(1+i) << 20 // distinct 4KB-region bases
 		s.Observe(pos[i]<<lineShift, 0, true)
 	}
+	batch := func() {
+		for i := 0; i < microBatch; i++ {
+			k := i % streams
+			pos[k]++
+			s.Observe(pos[k]<<lineShift, 0, true)
+		}
+	}
+	batch() // warm: grow the prefetch scratch to its steady size
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := i % streams
-		pos[k]++
-		s.Observe(pos[k]<<lineShift, 0, true)
+		batch()
 	}
 }
 
@@ -96,7 +106,7 @@ func BenchmarkTLBLookup(b *testing.B) {
 	t := NewTLB(64, 21)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < b.N*microBatch; i++ {
 		switch i & 3 {
 		case 0, 1: // hot page: MRU hit
 			t.Lookup(0x1000)

@@ -44,32 +44,45 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestWarmWorkerJobAllocations caps the allocations of a *whole job* on a
-// warm worker: build a new workload generator, reset the core in place and
-// simulate 50k instructions. The generator's functional memory (slab-backed
-// pages) and a handful of compile-time structures are all that remains — the
-// core itself contributes nothing. The bound is ~20x below the committed
-// cold-job figure (10,757 allocs) this round started from; it guards the
-// whole reuse path against regressing back to per-job construction.
+// TestWarmWorkerJobAllocations caps what a *whole job* allocates on a warm
+// worker: rewind the workload generator in place (Gen.Reset), reset the core
+// in place and simulate 50k instructions, as the runner's generator and core
+// pools do. The generator's compiled kernels are all that remains (about 60
+// allocations and 11 KiB for mcf); the core, the functional-memory pages and
+// the pointer rings contribute nothing. A fresh generator per job (1.5 MiB
+// for mcf) or any table rebuilt per job would exceed the byte bound many
+// times over.
 func TestWarmWorkerJobAllocations(t *testing.T) {
 	cfg := config.TableI()
 	prof := workload.MustByName("mcf")
 	const insts = 50_000
-	core := New(cfg, workload.New(prof, 42))
-	core.Run(insts)
-	if !core.ResetFor(cfg, workload.New(prof, 42)) {
-		t.Fatal("ResetFor refused the identical config")
-	}
-	core.Run(insts) // one full warm cycle so every retained buffer has grown
-	avg := testing.AllocsPerRun(3, func() {
-		if !core.ResetFor(cfg, workload.New(prof, 42)) {
+	gen := workload.New(prof, 42)
+	core := New(cfg, gen)
+	job := func() {
+		gen.Reset(prof, 42)
+		if !core.ResetFor(cfg, gen) {
 			t.Fatal("ResetFor refused the identical config")
 		}
 		core.Run(insts)
-	})
-	t.Logf("warm whole-job allocations: %.0f", avg)
-	if avg > 500 {
-		t.Errorf("warm whole-job allocations = %.0f, want <= 500", avg)
+	}
+	core.Run(insts)
+	job() // one full warm cycle so every retained buffer has grown
+
+	const jobs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range jobs {
+		job()
+	}
+	runtime.ReadMemStats(&after)
+	mallocs := (after.Mallocs - before.Mallocs) / jobs
+	size := (after.TotalAlloc - before.TotalAlloc) / jobs
+	t.Logf("warm whole job: %d allocations, %d bytes", mallocs, size)
+	if mallocs > 100 {
+		t.Errorf("warm whole-job allocations = %d, want <= 100", mallocs)
+	}
+	if size > 32<<10 {
+		t.Errorf("warm whole job allocates %d bytes, want <= 32 KiB", size)
 	}
 }
 

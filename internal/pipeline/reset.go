@@ -24,7 +24,9 @@ import (
 // reset in place, keeping its tables; every other one the config needs is
 // built, and the ones it does not need are dropped, so the core never holds
 // spares. A change of mechanism therefore rebuilds only that mechanism's
-// tables, and a change of seed rebuilds nothing.
+// tables, and a change of seed rebuilds nothing. The FIFO history is the one
+// component reshaped rather than rebuilt: any depth or hash width reuses its
+// ring and bucket heads, so they stay at the largest size the core has run.
 //
 // The simulation that follows is bit-identical to one on a fresh core: no
 // constructor draws from the RNG, so reseeding it in place reproduces a
@@ -142,8 +144,16 @@ func (c *Core) ResetFor(cfg *config.Config, src trace.Source) bool {
 	switch ps := pairerShapeOf(cfg); {
 	case rc == nil:
 		c.pairer = nil
+	case !ps.ddt:
+		// Any FIFO history reshapes in place: the §IV-A hash-width and
+		// §VI-A2 depth sweeps keep one ring and one set of bucket heads.
+		if h, ok := c.pairer.(*rsep.FIFOHistory); ok {
+			h.Reshape(ps.entries, rc.HashBits, 10)
+		} else {
+			c.pairer = rsep.NewFIFOHistory(ps.entries, rc.HashBits, 10)
+		}
 	case c.pairer == nil || pairerShapeOf(prev) != ps:
-		c.pairer = ps.build()
+		c.pairer = rsep.NewDDT(ps.entries, 10)
 	default:
 		c.pairer.Reset()
 	}
@@ -330,9 +340,11 @@ func (s memShape) build() *cache.Hierarchy {
 }
 
 // pairerShape sizes the commit-side pairing structure of an RSEP config.
+// The hash width is not part of it: the FIFO history uses it only for
+// storage accounting, which Reshape updates.
 type pairerShape struct {
-	ddt               bool
-	entries, hashBits int
+	ddt     bool
+	entries int
 }
 
 func pairerShapeOf(cfg *config.Config) pairerShape {
@@ -347,14 +359,7 @@ func pairerShapeOf(cfg *config.Config) pairerShape {
 		}
 		return pairerShape{ddt: true, entries: n}
 	}
-	return pairerShape{entries: rc.HistEntries, hashBits: rc.HashBits}
-}
-
-func (s pairerShape) build() rsep.Pairer {
-	if s.ddt {
-		return rsep.NewDDT(s.entries, 10)
-	}
-	return rsep.NewFIFOHistory(s.entries, s.hashBits, 10)
+	return pairerShape{entries: rc.HistEntries}
 }
 
 // zpShape sizes the zero predictor: RSEP's own when it enables one, else the

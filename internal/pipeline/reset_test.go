@@ -113,6 +113,35 @@ func TestCoreReuseDeterminism(t *testing.T) {
 		})
 	}
 
+	// The §IV-A hash-width and §VI-A2 depth sweeps change only the FIFO
+	// history, which ResetFor reshapes in place rather than rebuilds. One
+	// worker goes from the ideal FIFO to a 32-entry one, or to 32-bit
+	// hashes, and back; both legs must match a fresh core, the second one
+	// over ring and bucket storage kept from the first.
+	for _, leg := range []struct {
+		name string
+		set  func(*rsep.Config)
+	}{
+		{"hist-entries", func(rc *rsep.Config) { rc.HistEntries = 32 }},
+		{"hash-bits", func(rc *rsep.Config) { rc.HashBits = 32 }},
+	} {
+		t.Run("fifo-reshape/"+leg.name, func(t *testing.T) {
+			ideal := config.TableI().WithRSEP(rsep.Ideal())
+			rc := rsep.Ideal()
+			leg.set(&rc)
+			changed := config.TableI().WithRSEP(rc)
+			src := func() *workload.Gen { return workload.New(workload.MustByName("mcf"), 7) }
+			inter := ideal.Clone()
+			inter.Seed = 99
+			reused := New(inter, workload.New(workload.MustByName("xalancbmk"), 5))
+			reused.Run(15_000)
+			for _, cfg := range []*config.Config{changed, ideal} {
+				wantStats, wantCkpt := run(New(cfg, src()))
+				reuse(t, reused, cfg, src(), wantStats, wantCkpt)
+			}
+		})
+	}
+
 	// The profile workloads never train the store sets, so one pair runs
 	// aliasSource on both sides: the worker's learned store sets must not
 	// survive into the job.
@@ -235,6 +264,16 @@ func TestResetForEveryConfigField(t *testing.T) {
 	changes := oneFieldChanges(base)
 	if len(changes) < 60 {
 		t.Fatalf("only %d fields found", len(changes))
+	}
+	// The FIFO history is reshaped in place, not rebuilt, so the sweeps'
+	// own steps away from the ideal history get a case each as well.
+	for path, set := range map[string]func(*rsep.Config){
+		"Config.RSEP.HistEntries=32": func(rc *rsep.Config) { rc.HistEntries = 32 },
+		"Config.RSEP.HashBits=32":    func(rc *rsep.Config) { rc.HashBits = 32 },
+	} {
+		c := base.Clone()
+		set(c.RSEP)
+		changes[path] = c
 	}
 	core := New(base, workload.New(workload.MustByName("gcc"), 9))
 	core.Run(3_000)

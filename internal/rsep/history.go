@@ -89,6 +89,16 @@ const noCSN = ^uint64(0)
 // 64K ring since distances are 16-bit anyway). hashBits and csnBits are used
 // for storage accounting only.
 func NewFIFOHistory(n, hashBits, csnBits int) *FIFOHistory {
+	h := new(FIFOHistory)
+	h.Reshape(n, hashBits, csnBits)
+	return h
+}
+
+// Reshape rewinds h to the state NewFIFOHistory(n, hashBits, csnBits)
+// returns. The ring and the bucket heads keep their storage whenever it is
+// large enough, so a core swept across history depths and hash widths holds
+// on to its largest tables instead of rebuilding them for every config.
+func (h *FIFOHistory) Reshape(n, hashBits, csnBits int) {
 	capacity := n
 	if capacity <= 0 {
 		capacity = 1 << 16
@@ -96,20 +106,22 @@ func NewFIFOHistory(n, hashBits, csnBits int) *FIFOHistory {
 	// Twice the capacity of buckets (rounded to a power of two) keeps
 	// expected chain occupancy below one entry per bucket.
 	nb := predictor.Pow2Ceil(2 * capacity)
-	h := &FIFOHistory{
-		size:     n,
-		capacity: capacity,
-		ring:     make([]histEntry, capacity),
-		heads:    make([]uint64, nb),
-		bktMask:  uint32(nb - 1),
-		hashBits: hashBits,
-		csnBits:  csnBits,
-	}
+	h.size, h.capacity = n, capacity
+	h.hashBits, h.csnBits = hashBits, csnBits
+	h.ring = reslice(h.ring, capacity)
+	h.heads = reslice(h.heads, nb)
+	h.bktMask = uint32(nb - 1)
 	h.ringMask = uint64(predictor.Pow2Mask(capacity))
-	for i := range h.heads {
-		h.heads[i] = noCSN
+	h.Reset()
+}
+
+// reslice returns s with length n, reusing its backing array when it is
+// large enough. Callers overwrite every element.
+func reslice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return h
+	return s[:n]
 }
 
 func (h *FIFOHistory) slot(csn uint64) uint64 {

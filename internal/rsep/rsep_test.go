@@ -206,6 +206,41 @@ func TestValidationPolicyStrings(t *testing.T) {
 	}
 }
 
+// TestFIFOHistoryReshapeEqualsNew: one history reshaped through a depth and
+// hash-width sweep — ideal, 32 entries at two hash widths, 48 entries (not a
+// power of two), ideal again — answers every Find and reports the same
+// storage as a fresh history of each shape, although it keeps the largest
+// ring and bucket heads throughout.
+func TestFIFOHistoryReshapeEqualsNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	reused := NewFIFOHistory(0, 14, 10)
+	for _, shape := range []struct{ n, hashBits int }{{0, 14}, {32, 14}, {32, 8}, {48, 12}, {0, 16}} {
+		reused.Reshape(shape.n, shape.hashBits, 10)
+		fresh := NewFIFOHistory(shape.n, shape.hashBits, 10)
+		capacity := shape.n
+		if capacity == 0 {
+			capacity = 1 << 16
+		}
+		if want := capacity * (shape.hashBits + 10); reused.StorageBits() != want || fresh.StorageBits() != want {
+			t.Fatalf("shape %+v: reshaped reports %d bits, fresh %d, want %d", shape, reused.StorageBits(), fresh.StorageBits(), want)
+		}
+		if reused.Len() != shape.n {
+			t.Fatalf("shape %+v: reshaped Len = %d", shape, reused.Len())
+		}
+		for csn := uint64(0); csn < 5_000; csn++ {
+			hash := uint32(rng.Intn(64))
+			pred := uint16(rng.Intn(40))
+			d1, ok1 := reused.Find(hash, csn, pred)
+			d2, ok2 := fresh.Find(hash, csn, pred)
+			if d1 != d2 || ok1 != ok2 {
+				t.Fatalf("shape %+v, csn %d: reshaped Find = %d,%v, fresh %d,%v", shape, csn, d1, ok1, d2, ok2)
+			}
+			reused.Push(hash, csn)
+			fresh.Push(hash, csn)
+		}
+	}
+}
+
 // Property: Find never reports a distance of zero or beyond the window, and
 // a reported pair really has a matching hash at that distance.
 func TestQuickFIFOHistoryConsistency(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"rsepsim/internal/config"
 	"rsepsim/internal/pipeline"
 	"rsepsim/internal/trace"
+	"rsepsim/internal/workload"
 )
 
 // The core pool: workers reuse idle pipeline.Cores instead of constructing
@@ -45,6 +46,27 @@ type pooledCore struct {
 	// every slice boundary after that: the store only borrows the bytes.
 	ckpt  bytes.Buffer
 	since time.Time // when the core was last returned
+}
+
+// gens recycles workload generators between jobs. Gen.Reset rewinds one to
+// exactly the stream workload.New would produce, keeping its functional
+// memory pages and pointer-ring storage, so a warm worker's job builds no
+// generator. It is a sync.Pool, not a field of pooledCore: the garbage
+// collector empties it, whereas a generator carried by each idle core would
+// keep its pages and rings live for coreIdleTTL (DESIGN.md §3.3 gives the
+// measured peak-RSS cost).
+var gens sync.Pool
+
+// getGen returns a generator for prof and seed, recycled when one is idle.
+// Callers hand it back with gens.Put once no core will pull from it again.
+// Reset rewinds a generator from any state, so one a failed job held is as
+// good as any other.
+func getGen(prof *workload.Profile, seed int64) *workload.Gen {
+	if g, ok := gens.Get().(*workload.Gen); ok {
+		g.Reset(prof, seed)
+		return g
+	}
+	return workload.New(prof, seed)
 }
 
 var corePool struct {

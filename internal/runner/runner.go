@@ -88,7 +88,10 @@ func Simulate(ctx context.Context, j Job) (*metrics.Stats, error) {
 	}
 	cfg := j.Config.Clone()
 	cfg.Seed = j.Seed
-	return SimulateSource(ctx, cfg, workload.New(prof, j.Seed), j.Warmup, j.Measure)
+	gen := getGen(prof, j.Seed)
+	st, err := SimulateSource(ctx, cfg, gen, j.Warmup, j.Measure)
+	gens.Put(gen)
+	return st, err
 }
 
 // SimulateSource runs the warmup/measure protocol over an arbitrary
@@ -101,6 +104,9 @@ func Simulate(ctx context.Context, j Job) (*metrics.Stats, error) {
 // so a warm worker pays an in-place reset, plus the tables of any mechanism
 // the previous job did not run, instead of table construction per job. The
 // returned Stats are a copy — the core's own counters are recycled with it.
+// src is the caller's: Simulate passes a generator from the runner's
+// generator pool and takes it back afterwards, so a named benchmark's job
+// allocates neither a core nor a generator once a worker is warm.
 func SimulateSource(ctx context.Context, cfg *config.Config, src trace.Source, warmup, measure uint64) (*metrics.Stats, error) {
 	core := coreFor(cfg, src)
 	if ctx != nil {

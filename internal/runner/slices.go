@@ -5,7 +5,6 @@ import (
 	"context"
 
 	"rsepsim/internal/metrics"
-	"rsepsim/internal/trace"
 	"rsepsim/internal/workload"
 )
 
@@ -53,8 +52,24 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 	cfg := j.Config.Clone()
 	cfg.Seed = j.Seed
 	cfgHash := cfg.SeedlessHash()
-	freshSrc := func() trace.Source { return workload.New(prof, j.Seed) }
 	ss, _ := s.store.(SliceStore)
+
+	// One pooled generator serves every core the job positions: freshSrc
+	// rewinds it to the job's first instruction.
+	var gen *workload.Gen
+	freshSrc := func() *workload.Gen {
+		if gen == nil {
+			gen = getGen(prof, j.Seed)
+		} else {
+			gen.Reset(prof, j.Seed)
+		}
+		return gen
+	}
+	defer func() {
+		if gen != nil {
+			gens.Put(gen)
+		}
+	}()
 
 	var merged metrics.Stats
 	var core *pooledCore
@@ -108,7 +123,9 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 				ck := CheckpointKey{Bench: j.Bench, ConfigHash: cfgHash,
 					Seed: j.Seed, Warmup: j.Warmup, At: start}
 				if blob, ok := ss.GetCheckpoint(ck); ok {
-					if err := core.Restore(cfg, freshSrc(), bytes.NewReader(blob)); err == nil {
+					// coreFor pulled nothing from gen, so it is still at
+					// the first instruction, as Restore requires.
+					if err := core.Restore(cfg, gen, bytes.NewReader(blob)); err == nil {
 						restored = true
 					} else {
 						// Damaged or mismatched blob: rebuild from scratch.

@@ -24,7 +24,8 @@ type page [pageWords]uint64
 // (Figure 1 of the paper).
 type Memory struct {
 	pages map[uint64]*page
-	slab  []page // never-handed-out backing for new pages
+	free  []*page // pages Reset took back, zeroed, handed out before the slab
+	slab  []page  // never-handed-out backing for new pages
 
 	// One-entry MRU cache: workload kernels touch the same page in runs
 	// (sequential walkers, store/reload pairs), so most accesses skip the
@@ -35,11 +36,6 @@ type Memory struct {
 	// Fill is returned by reads of never-written words. Leaving it zero
 	// models zero-initialised memory.
 	Fill uint64
-}
-
-// New returns an empty memory.
-func New() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
 }
 
 // Read64 returns the 64-bit word containing byte address addr.
@@ -67,11 +63,16 @@ func (m *Memory) Write64(addr, v uint64) {
 			if m.pages == nil {
 				m.pages = make(map[uint64]*page)
 			}
-			if len(m.slab) == 0 {
-				m.slab = make([]page, slabPages)
+			if n := len(m.free); n > 0 {
+				p = m.free[n-1]
+				m.free = m.free[:n-1]
+			} else {
+				if len(m.slab) == 0 {
+					m.slab = make([]page, slabPages)
+				}
+				p = &m.slab[0]
+				m.slab = m.slab[1:]
 			}
-			p = &m.slab[0]
-			m.slab = m.slab[1:]
 			if m.Fill != 0 {
 				for i := range p {
 					p[i] = m.Fill
@@ -90,11 +91,17 @@ func (m *Memory) Pages() int { return len(m.pages) }
 // Footprint reports the touched footprint in bytes.
 func (m *Memory) Footprint() uint64 { return uint64(len(m.pages)) * pageBytes }
 
-// Reset drops all pages, returning the memory to its initial state. The
-// remaining slab is kept: its pages were never handed out, so they are still
-// zero.
+// Reset returns the memory to its initial state without giving up its
+// storage: every touched page is zeroed onto a free list that later writes
+// take pages from before the slab, and the page map keeps its buckets. A
+// memory reused for job after job therefore allocates only for footprint
+// beyond the largest it has already held.
 func (m *Memory) Reset() {
-	m.pages = make(map[uint64]*page)
+	for _, p := range m.pages {
+		*p = page{}
+		m.free = append(m.free, p)
+	}
+	clear(m.pages)
 	m.mruPage = nil
 	m.mruKey = 0
 }

@@ -116,7 +116,7 @@ func (r *region) valueAt(g *Gen, addr uint64) uint64 {
 type Gen struct {
 	profile *Profile
 	rng     *rand.Rand
-	mem     *simmem.Memory
+	mem     simmem.Memory
 
 	kernels []*kernel
 	cum     []float64
@@ -132,7 +132,9 @@ type Gen struct {
 	q    []uarch.Inst
 	qpos int
 
-	ringScratch []uint64 // shuffle-order scratch shared by initRing calls
+	ringScratch []uint64   // shuffle-order scratch shared by initRing calls
+	rings       [][]uint64 // pointer-ring storage, kept across Reset by rank
+	ringsUsed   int        // rings the current job has laid out
 }
 
 // Memory layout: code at 0x10000, dispatcher at 0xF000, data regions from
@@ -147,16 +149,37 @@ const (
 // different phase schedules, random values and ring permutations — the
 // reproduction's analogue of the paper's per-benchmark checkpoints.
 func New(profile *Profile, seed int64) *Gen {
-	g := &Gen{
-		profile:     profile,
-		rng:         rand.New(rand.NewSource(seed)),
-		mem:         simmem.New(),
-		regions:     make(map[string]*region),
-		brk:         dataBase,
-		dispatchPC:  0xF000,
-		scratchAddr: dataBase - 0x1000,
-		cur:         -1,
+	g := new(Gen)
+	g.Reset(profile, seed)
+	return g
+}
+
+// Reset recompiles g for profile and seed: the stream that follows is
+// exactly the one New(profile, seed) would produce, and Footprint starts
+// from zero. g keeps its storage — functional-memory pages, pointer-ring
+// backing, ring-shuffle scratch and the emission queue — so a generator
+// reused job after job allocates only the small compiled kernel structures
+// and whatever footprint exceeds its largest earlier job.
+func (g *Gen) Reset(profile *Profile, seed int64) {
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(seed))
+	} else {
+		g.rng.Seed(seed) // equal to a fresh source: Seed also drops buffered bits
 	}
+	g.profile = profile
+	g.mem.Reset()
+	if g.regions == nil {
+		g.regions = make(map[string]*region)
+	}
+	clear(g.regions)
+	g.brk = dataBase
+	g.cur, g.phaseLeft = -1, 0
+	g.dispatchPC = 0xF000
+	g.scratchAddr = dataBase - 0x1000
+	g.q, g.qpos = g.q[:0], 0
+	g.ringsUsed = 0
+
+	g.kernels = g.kernels[:0]
 	pc := uint64(codeBase)
 	total := 0.0
 	for _, ks := range profile.Kernels {
@@ -164,12 +187,12 @@ func New(profile *Profile, seed int64) *Gen {
 		pc += kernelPCs
 		total += ks.Weight
 	}
+	g.cum = g.cum[:0]
 	cum := 0.0
 	for _, ks := range profile.Kernels {
 		cum += ks.Weight / total
 		g.cum = append(g.cum, cum)
 	}
-	return g
 }
 
 // regionFor resolves (allocating on first use) the region a MemSpec names.
@@ -222,11 +245,27 @@ func (g *Gen) initRing(r *region) {
 		g.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 	r.nodeBytes = nodeBytes
-	r.ring = make([]uint64, n)
+	r.ring = g.ringStorage(n)
 	for i := range order {
 		r.ring[order[i]] = r.base + order[(uint64(i)+1)%n]*nodeBytes
 	}
 	r.entry = r.base + order[0]*nodeBytes
+}
+
+// ringStorage returns n words for the next pointer ring the current job
+// lays out: the slice an earlier job's ring of the same rank used, when it
+// is large enough, so a reset generator lays out the rings of any profile
+// it has run before without allocating.
+func (g *Gen) ringStorage(n uint64) []uint64 {
+	i := g.ringsUsed
+	g.ringsUsed++
+	if i == len(g.rings) {
+		g.rings = append(g.rings, nil)
+	}
+	if uint64(cap(g.rings[i])) < n {
+		g.rings[i] = make([]uint64, n)
+	}
+	return g.rings[i][:n]
 }
 
 // Footprint reports the touched functional-memory footprint in bytes.

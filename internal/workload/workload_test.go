@@ -99,6 +99,41 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestResetEqualsNew is the generator-reuse contract, as a randomized
+// equality property: for every profile, a generator that has already run
+// another profile and seed for a random length, then been Reset, emits
+// exactly New's stream and reports the same Footprint. One generator serves
+// every case, so its recycled pages, ring storage and queue carry over from
+// case to case as they do in a worker's pool.
+func TestResetEqualsNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	names := Names()
+	g := New(MustByName(names[0]), 0)
+	for _, name := range names {
+		prior := names[rng.Intn(len(names))]
+		g.Reset(MustByName(prior), rng.Int63())
+		for n := rng.Intn(40_000); n > 0; n-- {
+			g.Next()
+		}
+		seed := rng.Int63()
+		g.Reset(MustByName(name), seed)
+		want := New(MustByName(name), seed)
+		if g.Footprint() != want.Footprint() {
+			t.Fatalf("%s after %s: reset Footprint %d, New's %d", name, prior, g.Footprint(), want.Footprint())
+		}
+		for i := 0; i < 20_000; i++ {
+			x, _ := g.Next()
+			y, _ := want.Next()
+			if x != y {
+				t.Fatalf("%s after %s: reset generator diverged from New at instruction %d\n got: %+v\nwant: %+v", name, prior, i, x, y)
+			}
+		}
+		if g.Footprint() != want.Footprint() {
+			t.Errorf("%s after %s: Footprint %d after 20k instructions, New's %d", name, prior, g.Footprint(), want.Footprint())
+		}
+	}
+}
+
 func TestValueSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	lv := make([]uint64, 4)
