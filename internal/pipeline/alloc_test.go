@@ -47,11 +47,12 @@ func TestSteadyStateAllocations(t *testing.T) {
 // TestWarmWorkerJobAllocations caps what a *whole job* allocates on a warm
 // worker: rewind the workload generator in place (Gen.Reset), reset the core
 // in place and simulate 50k instructions, as the runner's generator and core
-// pools do. The generator's compiled kernels are all that remains (about 60
-// allocations and 11 KiB for mcf); the core, the functional-memory pages and
-// the pointer rings contribute nothing. A fresh generator per job (1.5 MiB
-// for mcf) or any table rebuilt per job would exceed the byte bound many
-// times over.
+// pools do. Nothing remains: the generator compiles its kernels into the
+// storage of the previous job's, and the core, the functional-memory pages
+// and the pointer rings are all kept (0 allocations for mcf; the bounds
+// leave room for the runtime's own). Kernels compiled afresh (about 60
+// allocations and 11 KiB for mcf), a fresh generator per job (1.5 MiB) or
+// any table rebuilt per job would exceed a bound.
 func TestWarmWorkerJobAllocations(t *testing.T) {
 	cfg := config.TableI()
 	prof := workload.MustByName("mcf")
@@ -78,11 +79,53 @@ func TestWarmWorkerJobAllocations(t *testing.T) {
 	mallocs := (after.Mallocs - before.Mallocs) / jobs
 	size := (after.TotalAlloc - before.TotalAlloc) / jobs
 	t.Logf("warm whole job: %d allocations, %d bytes", mallocs, size)
-	if mallocs > 100 {
-		t.Errorf("warm whole-job allocations = %d, want <= 100", mallocs)
+	if mallocs > 10 {
+		t.Errorf("warm whole-job allocations = %d, want <= 10", mallocs)
 	}
-	if size > 32<<10 {
-		t.Errorf("warm whole job allocates %d bytes, want <= 32 KiB", size)
+	if size > 2<<10 {
+		t.Errorf("warm whole job allocates %d bytes, want <= 2 KiB", size)
+	}
+}
+
+// TestRSEPSweepSwitchAllocations: a warm core stepped through Fig. 6's five
+// RSEP configs (validation ideal, lock-FU and any-FU, then sampling at
+// start_train 15 and 63) keeps one distance predictor, because the configs
+// differ only in how its tables are used, never in their size. One ideal
+// TAGE distance predictor is 124 KB of tables; the bound on a whole pass of
+// five ResetFor calls is far below it.
+func TestRSEPSweepSwitchAllocations(t *testing.T) {
+	ideal := rsep.Ideal()
+	lockFU, anyFU := ideal, ideal
+	lockFU.Validation = rsep.ValidateIssue2xSameFU
+	anyFU.Validation = rsep.ValidateIssue2xAnyFU
+	samp15, samp63 := anyFU, anyFU
+	samp15.Sampling, samp15.TAGE.StartTrainThreshold = true, 15
+	samp63.Sampling, samp63.TAGE.StartTrainThreshold = true, 63
+	base := config.TableI()
+	cfgs := []*config.Config{
+		base.WithRSEP(ideal), base.WithRSEP(lockFU), base.WithRSEP(anyFU),
+		base.WithRSEP(samp15), base.WithRSEP(samp63),
+	}
+	prof := workload.MustByName("mcf")
+	gen := workload.New(prof, 42)
+	core := New(cfgs[0], gen)
+	pass := func() (size uint64) {
+		var before, after runtime.MemStats
+		for _, cfg := range cfgs {
+			gen.Reset(prof, 42)
+			runtime.ReadMemStats(&before)
+			core.ResetFor(cfg, gen)
+			runtime.ReadMemStats(&after)
+			size += after.TotalAlloc - before.TotalAlloc
+			core.Run(10_000)
+		}
+		return size
+	}
+	pass() // grow every retained buffer
+	size := pass()
+	t.Logf("five RSEP config switches allocate %d bytes", size)
+	if size > 8<<10 {
+		t.Errorf("five RSEP config switches allocate %d bytes, want <= 8 KiB (one ideal TAGE is 124 KB)", size)
 	}
 }
 

@@ -24,9 +24,13 @@ import (
 // reset in place, keeping its tables; every other one the config needs is
 // built, and the ones it does not need are dropped, so the core never holds
 // spares. A change of mechanism therefore rebuilds only that mechanism's
-// tables, and a change of seed rebuilds nothing. The FIFO history is the one
-// component reshaped rather than rebuilt: any depth or hash width reuses its
-// ring and bucket heads, so they stay at the largest size the core has run.
+// tables, and a change of seed rebuilds nothing. Two components are kept
+// across more than an identical config. The FIFO history is reshaped rather
+// than rebuilt: any depth or hash width reuses its ring and bucket heads, so
+// they stay at the largest size the core has run. The distance predictor is
+// keyed on its table geometry alone and takes the new confidence thresholds
+// in place, so configs that differ only in validation, sampling or
+// thresholds (Fig. 6) share one.
 //
 // The simulation that follows is bit-identical to one on a fresh core: no
 // constructor draws from the RNG, so reseeding it in place reproduces a
@@ -129,7 +133,11 @@ func (c *Core) ResetFor(cfg *config.Config, src trace.Source) bool {
 	switch {
 	case rc == nil:
 		c.distPred, c.distHist = nil, nil
-	case c.distPred == nil || prev.RSEP.Predictor != rc.Predictor || !reflect.DeepEqual(prev.RSEP.TAGE, rc.TAGE):
+	case c.distPred == nil || prev.RSEP.Predictor != rc.Predictor ||
+		rc.Predictor == rsep.PredTAGE && !rc.TAGE.SameTables(&prev.RSEP.TAGE):
+		// Only the table geometry is compared: Fig. 6's validation and
+		// sampling configs differ in thresholds alone and share one
+		// predictor. The gshare tables have a fixed size.
 		if rc.Predictor == rsep.PredGShare {
 			c.distPred = rsep.NewGShareDist(4096, 4096, 16, 8,
 				rc.TAGE.UsePredThreshold, rc.TAGE.StartTrainThreshold, nil)
@@ -139,6 +147,7 @@ func (c *Core) ResetFor(cfg *config.Config, src trace.Source) bool {
 		c.distHist = predictor.NewGlobalHistory(c.distPred.HistoryLengths(), c.distPred.HistoryWidths())
 	default:
 		c.distPred.Reset()
+		c.distPred.SetThresholds(rc.TAGE.UsePredThreshold, rc.TAGE.StartTrainThreshold)
 		c.distHist.Reset()
 	}
 	switch ps := pairerShapeOf(cfg); {
@@ -340,8 +349,8 @@ func (s memShape) build() *cache.Hierarchy {
 }
 
 // pairerShape sizes the commit-side pairing structure of an RSEP config.
-// The hash width is not part of it: the FIFO history uses it only for
-// storage accounting, which Reshape updates.
+// The hash width is not part of it: it caps the FIFO history's bucket heads
+// and sizes its storage accounting, and Reshape applies both in place.
 type pairerShape struct {
 	ddt     bool
 	entries int

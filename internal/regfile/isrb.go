@@ -15,8 +15,13 @@ package regfile
 // checkpointed-referenced restore one instruction at a time.
 type ISRB struct {
 	entries []isrbEntry
-	max     int   // 0 = unbounded (ideal)
-	ctrMax  uint8 // counter ceiling (Table: two 6-bit counters -> 63)
+	// slotOf[p] is one plus the index of p's valid entry, 0 when p has
+	// none: the lookup of every Share, Release and Unref without a scan.
+	// It grows to the highest register ever shared and is not
+	// checkpointed; Rebuild derives it from the entries.
+	slotOf []int32
+	max    int   // 0 = unbounded (ideal)
+	ctrMax uint8 // counter ceiling (Table: two 6-bit counters -> 63)
 
 	// Stats
 	ShareOK, ShareFullRejects, Frees uint64
@@ -42,21 +47,29 @@ func NewISRB(entries, counterBits int) *ISRB {
 
 // Reset drops every entry and zeroes the statistics in place.
 func (b *ISRB) Reset() {
+	clear(b.slotOf)
 	b.entries = b.entries[:0]
 	b.ShareOK, b.ShareFullRejects, b.Frees = 0, 0, 0
 }
 
 func (b *ISRB) find(p PReg) *isrbEntry {
-	for i := range b.entries {
-		if b.entries[i].valid && b.entries[i].preg == p {
-			return &b.entries[i]
-		}
+	if p < 0 || int(p) >= len(b.slotOf) || b.slotOf[p] == 0 {
+		return nil
 	}
-	return nil
+	return &b.entries[b.slotOf[p]-1]
+}
+
+// index records that entry i holds p.
+func (b *ISRB) index(i int, p PReg) {
+	if n := int(p) + 1; n > len(b.slotOf) {
+		b.slotOf = append(b.slotOf, make([]int32, n-len(b.slotOf))...)
+	}
+	b.slotOf[p] = int32(i + 1)
 }
 
 func (b *ISRB) drop(e *isrbEntry) {
 	e.valid = false
+	b.slotOf[e.preg] = 0
 	// Compact lazily: trim trailing invalid entries.
 	for n := len(b.entries); n > 0 && !b.entries[n-1].valid; n = len(b.entries) {
 		b.entries = b.entries[:n-1]
@@ -77,10 +90,11 @@ func (b *ISRB) Share(p PReg) bool {
 		b.ShareOK++
 		return true
 	}
-	// Allocate a new entry.
+	// Allocate the first invalid entry, else append one.
 	for i := range b.entries {
 		if !b.entries[i].valid {
 			b.entries[i] = isrbEntry{preg: p, referenced: 1, valid: true}
+			b.index(i, p)
 			b.ShareOK++
 			return true
 		}
@@ -90,6 +104,7 @@ func (b *ISRB) Share(p PReg) bool {
 		return false
 	}
 	b.entries = append(b.entries, isrbEntry{preg: p, referenced: 1, valid: true})
+	b.index(len(b.entries)-1, p)
 	b.ShareOK++
 	return true
 }

@@ -1,9 +1,13 @@
 package regfile
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"rsepsim/internal/ckpt"
 )
 
 // The core protocol: a register with one implicit owner reference and n
@@ -189,5 +193,165 @@ func TestQuickISRBModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanISRB is the linear-scan ISRB the slot index replaced, kept as the
+// reference model: every lookup walks the entries for the first valid one
+// holding the register.
+type scanISRB struct {
+	entries []isrbEntry
+	max     int
+	ctrMax  uint8
+}
+
+func (b *scanISRB) find(p PReg) *isrbEntry {
+	for i := range b.entries {
+		if b.entries[i].valid && b.entries[i].preg == p {
+			return &b.entries[i]
+		}
+	}
+	return nil
+}
+
+func (b *scanISRB) drop(e *isrbEntry) {
+	e.valid = false
+	for n := len(b.entries); n > 0 && !b.entries[n-1].valid; n = len(b.entries) {
+		b.entries = b.entries[:n-1]
+	}
+}
+
+func (b *scanISRB) share(p PReg) bool {
+	if e := b.find(p); e != nil {
+		if e.referenced >= b.ctrMax {
+			return false
+		}
+		e.referenced++
+		return true
+	}
+	for i := range b.entries {
+		if !b.entries[i].valid {
+			b.entries[i] = isrbEntry{preg: p, referenced: 1, valid: true}
+			return true
+		}
+	}
+	if b.max > 0 && len(b.entries) >= b.max {
+		return false
+	}
+	b.entries = append(b.entries, isrbEntry{preg: p, referenced: 1, valid: true})
+	return true
+}
+
+func (b *scanISRB) release(p PReg, squash bool) (freed, shared bool) {
+	e := b.find(p)
+	if e == nil {
+		return false, false
+	}
+	if squash {
+		if e.referenced > 0 {
+			e.referenced--
+		}
+	} else if e.committed < b.ctrMax {
+		e.committed++
+	} else {
+		b.drop(e)
+		return true, true
+	}
+	if e.committed > e.referenced {
+		b.drop(e)
+		return true, true
+	}
+	if squash && e.referenced == 0 && e.committed == 0 {
+		b.drop(e)
+	}
+	return false, true
+}
+
+// TestISRBIndexEqualsScan drives random Share, Release, Unref and DropOwner
+// sequences through the indexed ISRB and the linear-scan model, on bounded
+// and unbounded buffers, and requires identical results and identical entry
+// slices (so checkpoint bytes cannot differ). Halfway through each sequence
+// the ISRB is checkpointed and restored into a fresh one, whose rebuilt
+// index must carry on exactly.
+func TestISRBIndexEqualsScan(t *testing.T) {
+	for _, shape := range []struct{ entries, ctrBits int }{{0, 6}, {0, 2}, {4, 2}, {24, 6}} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			b := NewISRB(shape.entries, shape.ctrBits)
+			ref := &scanISRB{max: shape.entries, ctrMax: b.ctrMax}
+			const steps = 4000
+			for step := 0; step < steps; step++ {
+				if step == steps/2 {
+					var err error
+					if b, err = walkRoundTrip(t, b, shape.entries, shape.ctrBits); err != nil {
+						t.Fatal(err)
+					}
+				}
+				p := PReg(1 + rng.Intn(40))
+				switch op := rng.Intn(4); op {
+				case 0:
+					if got, want := b.Share(p), ref.share(p); got != want {
+						t.Fatalf("%+v seed %d step %d: Share(%d) = %v, want %v", shape, seed, step, p, got, want)
+					}
+				case 1, 2:
+					var f, s bool
+					if op == 1 {
+						f, s = b.Release(p)
+					} else {
+						f, s = b.Unref(p)
+					}
+					wf, ws := ref.release(p, op == 2)
+					if f != wf || s != ws {
+						t.Fatalf("%+v seed %d step %d: op %d on %d = %v,%v, want %v,%v", shape, seed, step, op, p, f, s, wf, ws)
+					}
+				case 3:
+					b.DropOwner(p)
+					if e := ref.find(p); e != nil {
+						ref.drop(e)
+					}
+				}
+				if !slices.Equal(b.entries, ref.entries) {
+					t.Fatalf("%+v seed %d step %d: entries %v, want %v", shape, seed, step, b.entries, ref.entries)
+				}
+			}
+		}
+	}
+}
+
+// walkRoundTrip checkpoints b and restores it into a fresh ISRB, returning
+// the restore's error.
+func walkRoundTrip(t *testing.T, b *ISRB, entries, ctrBits int) (*ISRB, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := ckpt.NewEncoder(&buf)
+	b.Walk(enc)
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := ckpt.NewDecoder(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := NewISRB(entries, ctrBits)
+	got.Walk(dec)
+	return got, dec.Close()
+}
+
+// TestISRBRebuildRefusesForgedEntries: a checkpoint whose checksum holds
+// but whose entries no sharing could have made — a register outside the
+// index's range or two live entries for one register — fails the restore
+// instead of indexing out of range or answering for the wrong entry.
+func TestISRBRebuildRefusesForgedEntries(t *testing.T) {
+	for name, entries := range map[string][]isrbEntry{
+		"zero register": {{preg: ZeroPReg, referenced: 1, valid: true}},
+		"negative":      {{preg: -5, referenced: 1, valid: true}},
+		"huge":          {{preg: maxSharedPReg, referenced: 1, valid: true}},
+		"duplicate":     {{preg: 7, referenced: 1, valid: true}, {preg: 7, referenced: 2, valid: true}},
+	} {
+		forged := NewISRB(0, 6)
+		forged.entries = entries
+		if _, err := walkRoundTrip(t, forged, 0, 6); err == nil {
+			t.Errorf("%s: restore accepted forged entries %+v", name, entries)
+		}
 	}
 }

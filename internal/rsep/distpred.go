@@ -2,6 +2,7 @@ package rsep
 
 import (
 	"math/rand"
+	"slices"
 
 	"rsepsim/internal/ckpt"
 	"rsepsim/internal/predictor"
@@ -43,6 +44,10 @@ type DistPredictor interface {
 	HistoryLengths() []int
 	// Reset clears all learned state in place, as if freshly constructed.
 	Reset()
+	// SetThresholds replaces the use_pred and start_train confidence
+	// thresholds. They only interpret the tables, so a predictor Reset and
+	// given new thresholds equals one built with them.
+	SetThresholds(usePred, startTrain int)
 	// Walk hands all learned state to a checkpoint stream.
 	Walk(s *ckpt.Stream)
 }
@@ -57,6 +62,14 @@ type TAGEDistConfig struct {
 
 	UsePredThreshold    int // confidence to predict (255)
 	StartTrainThreshold int // confidence to become a "likely candidate" (sampling)
+}
+
+// SameTables reports whether c and o size identical tables: every field but
+// the two confidence thresholds, which SetThresholds changes in place.
+func (c *TAGEDistConfig) SameTables(o *TAGEDistConfig) bool {
+	return c.BaseEntries == o.BaseEntries && c.TaggedEntries == o.TaggedEntries &&
+		slices.Equal(c.TagBits, o.TagBits) && slices.Equal(c.HistLens, o.HistLens) &&
+		c.DistBits == o.DistBits
 }
 
 // IdealTAGEDist is the large §IV-C configuration: six 1K-entry components
@@ -171,6 +184,11 @@ func (d *TAGEDist) HistoryLengths() []int { return d.cfg.HistLens }
 // Reset implements DistPredictor.
 func (d *TAGEDist) Reset() { d.tage.Reset() }
 
+// SetThresholds implements DistPredictor.
+func (d *TAGEDist) SetThresholds(usePred, startTrain int) {
+	d.cfg.UsePredThreshold, d.cfg.StartTrainThreshold = usePred, startTrain
+}
+
 // GShareDist is the gshare-like distance predictor of Sha et al. (§IV-C),
 // kept as the baseline the TAGE predictor is compared against.
 type GShareDist struct {
@@ -235,3 +253,8 @@ func (d *GShareDist) HistoryLengths() []int { return []int{d.histLen} }
 
 // Reset implements DistPredictor.
 func (d *GShareDist) Reset() { d.g.Reset() }
+
+// SetThresholds implements DistPredictor.
+func (d *GShareDist) SetThresholds(usePred, startTrain int) {
+	d.usePred, d.startTrain = usePred, startTrain
+}

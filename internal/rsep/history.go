@@ -43,11 +43,16 @@ type Pairer interface {
 // Data layout (DESIGN.md §3.2): the index is a flat chain-through-ring
 // scheme, not a map. A power-of-two array of bucket heads records the most
 // recent CSN pushed into each bucket, and every ring entry links to the
-// previous CSN of its bucket chain. Because ring slots hold consecutive CSNs,
-// an entry is live exactly when its CSN is inside [minCSN, nextCSN), so a
-// chain walk terminates at the window edge without ever deleting anything:
-// residency is bounded by the ring capacity by construction, and Push/Find
-// are allocation-free and cache-resident.
+// previous CSN of its bucket chain. Because ring slots hold consecutive
+// CSNs, an entry is live exactly when its CSN is inside [minCSN, nextCSN),
+// so a chain walk terminates at the window edge without ever deleting
+// anything: residency is bounded by the ring capacity by construction, and
+// Push/Find are allocation-free and cache-resident.
+//
+// There are twice as many buckets as ring entries, but never more than
+// there are hash values. In the 64K-entry ideal history every hash of 16
+// bits or fewer thus has a bucket of its own, so a chain walk stops at its
+// first entry, and the 14-bit history's heads take 128KB instead of 1MB.
 //
 // Ring entries are eight bytes: the consecutive-CSN invariant means an
 // entry's own CSN is implied by its slot (within the live window there is
@@ -86,8 +91,9 @@ const noCSN = ^uint64(0)
 
 // NewFIFOHistory builds a history of n entries (n = 0 means unbounded — the
 // "ideal, much larger than the ROB" configuration of §VI-A1, realised as a
-// 64K ring since distances are 16-bit anyway). hashBits and csnBits are used
-// for storage accounting only.
+// 64K ring since distances are 16-bit anyway). hashBits is the width of the
+// hashes pushed; it caps the bucket heads and, with csnBits, sizes the
+// storage accounting.
 func NewFIFOHistory(n, hashBits, csnBits int) *FIFOHistory {
 	h := new(FIFOHistory)
 	h.Reshape(n, hashBits, csnBits)
@@ -104,8 +110,13 @@ func (h *FIFOHistory) Reshape(n, hashBits, csnBits int) {
 		capacity = 1 << 16
 	}
 	// Twice the capacity of buckets (rounded to a power of two) keeps
-	// expected chain occupancy below one entry per bucket.
+	// expected chain occupancy below one entry per bucket; beyond one
+	// bucket per hash value more buckets would stay empty. The bucket
+	// count changes only chain lengths, never what Find returns.
 	nb := predictor.Pow2Ceil(2 * capacity)
+	if hashBits > 0 && hashBits < 32 {
+		nb = min(nb, 1<<hashBits)
+	}
 	h.size, h.capacity = n, capacity
 	h.hashBits, h.csnBits = hashBits, csnBits
 	h.ring = reslice(h.ring, capacity)

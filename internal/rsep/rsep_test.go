@@ -1,6 +1,7 @@
 package rsep
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -207,36 +208,64 @@ func TestValidationPolicyStrings(t *testing.T) {
 }
 
 // TestFIFOHistoryReshapeEqualsNew: one history reshaped through a depth and
-// hash-width sweep — ideal, 32 entries at two hash widths, 48 entries (not a
-// power of two), ideal again — answers every Find and reports the same
+// hash-width sweep — hash widths 8 to 16 and 32, depths from 32 (also 48,
+// not a power of two) to ideal — answers every Find and reports the same
 // storage as a fresh history of each shape, although it keeps the largest
-// ring and bucket heads throughout.
+// ring and bucket heads throughout. Both also answer exactly like a history
+// with the 2·capacity bucket heads the sizing by hash width replaced: the
+// bucket count affects only chain lengths, never a Find.
 func TestFIFOHistoryReshapeEqualsNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	reused := NewFIFOHistory(0, 14, 10)
-	for _, shape := range []struct{ n, hashBits int }{{0, 14}, {32, 14}, {32, 8}, {48, 12}, {0, 16}} {
-		reused.Reshape(shape.n, shape.hashBits, 10)
-		fresh := NewFIFOHistory(shape.n, shape.hashBits, 10)
-		capacity := shape.n
-		if capacity == 0 {
-			capacity = 1 << 16
+	for _, hashBits := range []int{14, 8, 10, 12, 16, 32} {
+		// A few hot hashes of the full width make pairs; fresh random ones
+		// spread over every bucket.
+		pool := make([]uint32, 48)
+		for i := range pool {
+			pool[i] = FoldHash(rng.Uint64(), uint(hashBits))
 		}
-		if want := capacity * (shape.hashBits + 10); reused.StorageBits() != want || fresh.StorageBits() != want {
-			t.Fatalf("shape %+v: reshaped reports %d bits, fresh %d, want %d", shape, reused.StorageBits(), fresh.StorageBits(), want)
-		}
-		if reused.Len() != shape.n {
-			t.Fatalf("shape %+v: reshaped Len = %d", shape, reused.Len())
-		}
-		for csn := uint64(0); csn < 5_000; csn++ {
-			hash := uint32(rng.Intn(64))
-			pred := uint16(rng.Intn(40))
-			d1, ok1 := reused.Find(hash, csn, pred)
-			d2, ok2 := fresh.Find(hash, csn, pred)
-			if d1 != d2 || ok1 != ok2 {
-				t.Fatalf("shape %+v, csn %d: reshaped Find = %d,%v, fresh %d,%v", shape, csn, d1, ok1, d2, ok2)
+		for _, n := range []int{0, 32, 48, 256, 1024} {
+			shape := fmt.Sprintf("depth %d, %d-bit hashes", n, hashBits)
+			reused.Reshape(n, hashBits, 10)
+			fresh := NewFIFOHistory(n, hashBits, 10)
+			// A 32-bit width never caps the heads, so this one keeps the
+			// old 2·capacity bucket count; its hash width is then set
+			// back for the storage comparison.
+			wide := NewFIFOHistory(n, 32, 10)
+			wide.hashBits = hashBits
+			capacity := n
+			if capacity == 0 {
+				capacity = 1 << 16
 			}
-			reused.Push(hash, csn)
-			fresh.Push(hash, csn)
+			if want := capacity * (hashBits + 10); reused.StorageBits() != want || fresh.StorageBits() != want || wide.StorageBits() != want {
+				t.Fatalf("%s: reshaped reports %d bits, fresh %d, want %d", shape, reused.StorageBits(), fresh.StorageBits(), want)
+			}
+			heads := predictor.Pow2Ceil(2 * capacity)
+			if hashBits < 32 {
+				heads = min(heads, 1<<hashBits)
+			}
+			if len(reused.heads) != heads || len(fresh.heads) != heads || len(wide.heads) != predictor.Pow2Ceil(2*capacity) {
+				t.Fatalf("%s: %d and %d bucket heads, want %d", shape, len(reused.heads), len(fresh.heads), heads)
+			}
+			if reused.Len() != n {
+				t.Fatalf("%s: reshaped Len = %d", shape, reused.Len())
+			}
+			for csn := uint64(0); csn < 5_000; csn++ {
+				hash := pool[rng.Intn(len(pool))]
+				if rng.Intn(4) == 0 {
+					hash = FoldHash(rng.Uint64(), uint(hashBits))
+				}
+				pred := uint16(rng.Intn(40))
+				d1, ok1 := reused.Find(hash, csn, pred)
+				d2, ok2 := fresh.Find(hash, csn, pred)
+				d3, ok3 := wide.Find(hash, csn, pred)
+				if d1 != d2 || ok1 != ok2 || d1 != d3 || ok1 != ok3 {
+					t.Fatalf("%s, csn %d: reshaped Find = %d,%v, fresh %d,%v, wide heads %d,%v", shape, csn, d1, ok1, d2, ok2, d3, ok3)
+				}
+				reused.Push(hash, csn)
+				fresh.Push(hash, csn)
+				wide.Push(hash, csn)
+			}
 		}
 	}
 }

@@ -336,22 +336,27 @@ func writeFileAtomic(final string, parts ...[]byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	// Only a failed write leaves the temp file behind: a successful rename
+	// consumes it, so removing it then would be a wasted unlink. Closing an
+	// already closed file is a harmless no-op error.
+	fail := func(err error) error {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("store: %w", err)
+	}
 	for _, p := range parts {
 		if _, err := tmp.Write(p); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: %w", err)
+			return fail(err)
 		}
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return fail(err)
 	}
 	if err := os.Rename(tmp.Name(), final); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return fail(err)
 	}
 	return nil
 }

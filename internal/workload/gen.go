@@ -8,7 +8,9 @@ import (
 	"rsepsim/internal/uarch"
 )
 
-// Profile is one benchmark model: a named weighted mixture of kernels.
+// Profile is one benchmark model: a named weighted mixture of kernels. The
+// generators that run a profile only read it, so one profile can serve any
+// number of them at once.
 type Profile struct {
 	Name    string
 	Kernels []KernelSpec
@@ -16,8 +18,6 @@ type Profile struct {
 
 // region is the runtime state of a named memory region.
 type region struct {
-	owner string // kernel name
-	name  string
 	spec  MemSpec
 	base  uint64
 	words uint64 // region size in 8-byte words
@@ -33,7 +33,7 @@ type region struct {
 	ring      []uint64
 	nodeBytes uint64
 
-	content *valueSeq
+	content valueSeq // compiled spec.Content when it is a KSmallSet
 }
 
 func (r *region) writable() bool { return r.spec.Content == nil && r.spec.Kind != MPtrRing }
@@ -118,9 +118,9 @@ type Gen struct {
 	rng     *rand.Rand
 	mem     simmem.Memory
 
-	kernels []*kernel
+	kernels []kernel
 	cum     []float64
-	regions map[string]*region
+	regions map[regionKey]*region
 	brk     uint64 // region allocation bump pointer
 
 	cur       int
@@ -135,7 +135,13 @@ type Gen struct {
 	ringScratch []uint64   // shuffle-order scratch shared by initRing calls
 	rings       [][]uint64 // pointer-ring storage, kept across Reset by rank
 	ringsUsed   int        // rings the current job has laid out
+	regionPool  []*region  // region records, kept across Reset by rank
+	regionsUsed int        // region records the current job has claimed
 }
+
+// regionKey names a region: regions are private to the kernel that
+// declares them.
+type regionKey struct{ owner, name string }
 
 // Memory layout: code at 0x10000, dispatcher at 0xF000, data regions from
 // 256MB up (regions are padded apart to keep cache sets honest).
@@ -157,9 +163,10 @@ func New(profile *Profile, seed int64) *Gen {
 // Reset recompiles g for profile and seed: the stream that follows is
 // exactly the one New(profile, seed) would produce, and Footprint starts
 // from zero. g keeps its storage — functional-memory pages, pointer-ring
-// backing, ring-shuffle scratch and the emission queue — so a generator
-// reused job after job allocates only the small compiled kernel structures
-// and whatever footprint exceeds its largest earlier job.
+// backing, ring-shuffle scratch, the emission queue, and the compiled
+// kernels, slots, value streams and regions, which are compiled in place —
+// so a generator reused job after job allocates only what its new job
+// needs beyond the largest of its earlier ones. profile is only read.
 func (g *Gen) Reset(profile *Profile, seed int64) {
 	if g.rng == nil {
 		g.rng = rand.New(rand.NewSource(seed))
@@ -169,7 +176,7 @@ func (g *Gen) Reset(profile *Profile, seed int64) {
 	g.profile = profile
 	g.mem.Reset()
 	if g.regions == nil {
-		g.regions = make(map[string]*region)
+		g.regions = make(map[regionKey]*region)
 	}
 	clear(g.regions)
 	g.brk = dataBase
@@ -177,13 +184,13 @@ func (g *Gen) Reset(profile *Profile, seed int64) {
 	g.dispatchPC = 0xF000
 	g.scratchAddr = dataBase - 0x1000
 	g.q, g.qpos = g.q[:0], 0
-	g.ringsUsed = 0
+	g.ringsUsed, g.regionsUsed = 0, 0
 
-	g.kernels = g.kernels[:0]
+	g.kernels = resize(g.kernels, len(profile.Kernels))
 	pc := uint64(codeBase)
 	total := 0.0
-	for _, ks := range profile.Kernels {
-		g.kernels = append(g.kernels, compileKernel(ks, pc, g))
+	for i, ks := range profile.Kernels {
+		g.kernels[i].compile(ks, pc, g)
 		pc += kernelPCs
 		total += ks.Weight
 	}
@@ -197,7 +204,7 @@ func (g *Gen) Reset(profile *Profile, seed int64) {
 
 // regionFor resolves (allocating on first use) the region a MemSpec names.
 func (g *Gen) regionFor(spec *MemSpec, kernelName string) *region {
-	key := kernelName + "/" + spec.Region
+	key := regionKey{kernelName, spec.Region}
 	if r, ok := g.regions[key]; ok {
 		return r
 	}
@@ -205,17 +212,21 @@ func (g *Gen) regionFor(spec *MemSpec, kernelName string) *region {
 	if bytes < 64 {
 		bytes = 64
 	}
-	r := &region{
-		owner: kernelName,
-		name:  spec.Region,
-		spec:  *spec,
-		base:  g.brk,
-		words: bytes / 8,
-		salt:  g.rng.Uint64(),
+	if g.regionsUsed == len(g.regionPool) {
+		g.regionPool = append(g.regionPool, new(region))
+	}
+	r := g.regionPool[g.regionsUsed]
+	g.regionsUsed++
+	*r = region{
+		spec:    *spec,
+		base:    g.brk,
+		words:   bytes / 8,
+		salt:    g.rng.Uint64(),
+		content: valueSeq{drawn: r.content.drawn},
 	}
 	g.brk += bytes + 64*1024 // pad regions apart
 	if spec.Content != nil && spec.Content.Kind == KSmallSet {
-		r.content = compileValue(spec.Content, g.rng)
+		r.content.compile(spec.Content, g.rng)
 	}
 	if spec.Kind == MPtrRing {
 		g.initRing(r)
@@ -301,7 +312,7 @@ func (g *Gen) step() {
 			})
 		}
 		g.cur = next
-		k := g.kernels[next]
+		k := &g.kernels[next]
 		g.phaseLeft = 1 + g.rng.Intn(2*k.spec.AvgIters)
 	}
 	g.phaseLeft--

@@ -1,6 +1,10 @@
 package workload
 
-import "rsepsim/internal/uarch"
+import (
+	"slices"
+
+	"rsepsim/internal/uarch"
+)
 
 // MemKind enumerates address behaviours.
 type MemKind uint8
@@ -175,8 +179,8 @@ type slot struct {
 	pc   uint64
 	dst  uarch.Reg
 	srcs []uarch.Reg
-	val  *valueSeq
-	reg  *region // resolved memory region
+	val  valueSeq // compiled spec.Val; unused when spec.Val is nil
+	reg  *region  // resolved memory region
 }
 
 type kernel struct {
@@ -201,28 +205,28 @@ func destFor(class uarch.Class, i int) uarch.Reg {
 	}
 }
 
-func compileKernel(spec KernelSpec, pcBase uint64, g *Gen) *kernel {
-	k := &kernel{
-		spec:     spec,
-		pcBase:   pcBase,
-		loopPC:   pcBase + uint64(4*len(spec.Slots)),
-		lastVals: make([]uint64, len(spec.Slots)),
-	}
-	for i, ss := range spec.Slots {
-		sl := slot{spec: ss, pc: pcBase + uint64(4*i), dst: destFor(ss.Class, i)}
+// compile lays out spec at pcBase in k, reusing the slot, source, value
+// and region-list storage of whatever k held before, and drawing from g's
+// RNG in slot order.
+func (k *kernel) compile(spec KernelSpec, pcBase uint64, g *Gen) {
+	k.spec = spec
+	k.pcBase = pcBase
+	k.loopPC = pcBase + uint64(4*len(spec.Slots))
+	k.lastVals = resize(k.lastVals, len(spec.Slots))
+	clear(k.lastVals)
+	k.regions = k.regions[:0]
+	k.slots = resize(k.slots, len(spec.Slots))
+	for i := range spec.Slots {
+		ss := &spec.Slots[i]
+		sl := &k.slots[i]
+		sl.spec, sl.pc, sl.dst = *ss, pcBase+uint64(4*i), destFor(ss.Class, i)
+		sl.srcs, sl.reg = sl.srcs[:0], nil
 		if ss.Val != nil {
-			sl.val = compileValue(ss.Val, g.rng)
+			sl.val.compile(ss.Val, g.rng)
 		}
 		if ss.Mem != nil {
 			sl.reg = g.regionFor(ss.Mem, spec.Name)
-			seen := false
-			for _, r := range k.regions {
-				if r == sl.reg {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if !slices.Contains(k.regions, sl.reg) {
 				k.regions = append(k.regions, sl.reg)
 			}
 		}
@@ -233,7 +237,6 @@ func compileKernel(spec KernelSpec, pcBase uint64, g *Gen) *kernel {
 				}
 			}
 		}
-		k.slots = append(k.slots, sl)
 	}
 	// Seed chase pointers with the ring entry point.
 	for i := range k.slots {
@@ -242,7 +245,6 @@ func compileKernel(spec KernelSpec, pcBase uint64, g *Gen) *kernel {
 			k.lastVals[i] = sl.reg.entry
 		}
 	}
-	return k
 }
 
 // emit appends one loop iteration of the kernel to g's queue. continueLoop
@@ -272,7 +274,7 @@ func (k *kernel) emit(g *Gen, continueLoop bool) {
 			addr := k.loadAddr(g, i, sl)
 			var v uint64
 			switch {
-			case sl.val != nil:
+			case ss.Val != nil:
 				v = sl.val.next(g.rng, k.lastVals)
 			case sl.reg != nil:
 				v = sl.reg.valueAt(g, addr)

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // This file defines the 29 benchmark models, one per SPEC CPU2006 benchmark
@@ -26,9 +27,17 @@ import (
 // zeros without regularity; pair distance grows with the number of
 // result-producing slots between the paired instructions.
 
-var registry = map[string]func() *Profile{}
+// registry maps each name to its profile's builder; shared maps it to the
+// same builder run once, on first use, for the life of the process.
+var (
+	registry = map[string]func() *Profile{}
+	shared   = map[string]func() *Profile{}
+)
 
-func register(name string, f func() *Profile) { registry[name] = f }
+func register(name string, f func() *Profile) {
+	registry[name] = f
+	shared[name] = sync.OnceValue(f)
+}
 
 // Names returns the benchmark names in SPEC order.
 func Names() []string {
@@ -40,9 +49,11 @@ func Names() []string {
 	return out
 }
 
-// ByName builds the named benchmark profile.
+// ByName returns the named benchmark profile. Each profile is built once per
+// process and shared by every caller, which must not modify it; a generator
+// only reads its profile.
 func ByName(name string) (*Profile, error) {
-	f, ok := registry[name]
+	f, ok := shared[name]
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown benchmark %q", name)
 	}

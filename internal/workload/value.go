@@ -90,17 +90,32 @@ type valueSeq struct {
 	cur     uint64
 	idx     int
 	inBurst bool
+
+	// drawn backs a KSmallSet's set, drawn at compile time; it is kept
+	// across recompiles so a reset generator draws into the same storage.
+	drawn []uint64
 }
 
-func compileValue(spec *ValueSpec, rng *rand.Rand) *valueSeq {
-	s := &valueSeq{spec: *spec, cur: spec.Start}
+// compile rewinds s to the start of spec's stream. A KSmallSet draws its
+// members from rng into s's own storage, never into the shared profile.
+func (s *valueSeq) compile(spec *ValueSpec, rng *rand.Rand) {
+	*s = valueSeq{spec: *spec, cur: spec.Start, drawn: s.drawn}
 	if spec.Kind == KSmallSet {
-		s.spec.Vals = make([]uint64, len(spec.Vals))
-		for i := range s.spec.Vals {
-			s.spec.Vals[i] = randBits(rng, spec.Width)
+		s.drawn = resize(s.drawn, len(spec.Vals))
+		for i := range s.drawn {
+			s.drawn[i] = randBits(rng, spec.Width)
 		}
+		s.spec.Vals = s.drawn
 	}
-	return s
+}
+
+// resize returns s with length n, keeping its backing array and the
+// elements in it when the capacity allows.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 func randBits(rng *rand.Rand, width uint) uint64 {

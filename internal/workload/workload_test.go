@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -20,6 +22,37 @@ func TestAllBenchmarksRegistered(t *testing.T) {
 	}
 	if _, err := ByName("nonexistent"); err == nil {
 		t.Error("ByName must reject unknown benchmarks")
+	}
+}
+
+// TestByNameSharesOneProfile: ByName hands every caller the same profile,
+// and generators running on it at once leave it equal to a freshly built
+// one, so sharing it across jobs and goroutines is safe.
+func TestByNameSharesOneProfile(t *testing.T) {
+	for _, name := range Names() {
+		p := MustByName(name)
+		var wg sync.WaitGroup
+		for seed := int64(1); seed <= 2; seed++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if q := MustByName(name); q != p {
+					t.Errorf("%s: ByName returned two different profiles", name)
+				}
+				g := New(p, seed)
+				for range 10_000 {
+					g.Next()
+				}
+				g.Reset(p, seed+2)
+				for range 10_000 {
+					g.Next()
+				}
+			}()
+		}
+		wg.Wait()
+		if fresh := registry[name](); !reflect.DeepEqual(p, fresh) {
+			t.Errorf("%s: a profile generators have run differs from a freshly built one", name)
+		}
 	}
 }
 
@@ -134,6 +167,13 @@ func TestResetEqualsNew(t *testing.T) {
 	}
 }
 
+// compileValue compiles spec into a fresh stream.
+func compileValue(spec *ValueSpec, rng *rand.Rand) *valueSeq {
+	s := new(valueSeq)
+	s.compile(spec, rng)
+	return s
+}
+
 func TestValueSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	lv := make([]uint64, 4)
@@ -214,7 +254,7 @@ func TestPtrRingIsCycle(t *testing.T) {
 			b.Chase(&MemSpec{Region: "r", Kind: MPtrRing, Bytes: 4096, NodeBytes: 64, Shuffle: true})
 		}),
 	}}, 5)
-	r := g.regions["k/r"]
+	r := g.regions[regionKey{"k", "r"}]
 	n := int(r.spec.Bytes / r.spec.NodeBytes)
 	p := r.entry
 	seen := map[uint64]bool{}
