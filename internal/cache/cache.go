@@ -15,7 +15,12 @@
 // MSHR-full earliest-fill query reads the head — neither walks the set.
 package cache
 
-import "rsepsim/internal/dram"
+import (
+	"fmt"
+	"math/bits"
+
+	"rsepsim/internal/dram"
+)
 
 const (
 	// LineBytes is the cache line size used throughout the hierarchy.
@@ -59,12 +64,17 @@ type mshrEnt struct {
 	seq  uint64
 }
 
+// maxKey bounds a way's tag key: the line address above the set-index bits
+// must be below it, so that key+1 fits 32 bits. That covers 2^38 bytes of
+// address space for a single-set cache, 2^44 for Table I's 64-set L1s and
+// 2^50 for its L3; the workload generator's addresses sit near 2^28.
+const maxKey = 1<<32 - 1
+
 // mruEnt is one set's MRU hint: the most recently hitting way and its tag key
-// in one aligned 16-byte record (a single cache-line touch on the hit path).
+// in one aligned 8-byte record (a single load on the hit path).
 type mruEnt struct {
-	key uint64
+	key uint32
 	way uint32
-	_   uint32
 }
 
 // Cache is one level of the hierarchy.
@@ -74,22 +84,23 @@ type Cache struct {
 	// into bit 63 — in flat set-major order: set s occupies
 	// lines[s*ways : (s+1)*ways].
 	lines []uint64
-	// tags holds lineAddr<<1|1 per way (0 = invalid) and lru the last-touch
-	// tick, both parallel to lines. A hit not caught by the MRU hint scans
-	// tags; a miss is proven by the presence filter in one array read.
-	tags []uint64
-	lru  []uint64
-	mru  []uint32 // per-set way hint: the way that hit most recently
-	// mruHint mirrors mru with the hinted way's tag key folded in, so the
-	// MRU fast path is one 16-byte probe instead of dependent loads from mru
-	// and tags. Invariant: mruHint[s].key == tags[s*ways+mruHint[s].way] at
-	// all times (every fill and scan hit update both; keys are nonzero, so a
-	// zero hint never matches). Derived state: rebuilt by Rebuild, not stored.
-	mruHint []mruEnt
-	ways    int
-	nsets   uint64
-	setMask uint64 // nsets-1 when nsets is a power of two, else 0
-	filled  int    // valid lines; lines never invalidate, so once full the
+	// tags holds each way's tag key (see key; 0 = invalid) and lru its
+	// last-touch tick, both parallel to lines. Together with lines a way
+	// costs 16 bytes. A hit not caught by the MRU hint scans tags; a miss is
+	// proven by the presence filter in one array read.
+	tags []uint32
+	lru  []uint32
+	// mruHint is each set's most recently hitting way with that way's tag
+	// key folded in, so the MRU fast path is one 8-byte probe instead of
+	// dependent loads. Invariant: mruHint[s].key == tags[s*ways+mruHint[s].way]
+	// at all times (every fill and scan hit update it; keys are nonzero, so
+	// a hint on an invalid way never matches). Only the way is stored.
+	mruHint  []mruEnt
+	ways     int
+	nsets    uint64
+	setMask  uint64 // nsets-1 when nsets is a power of two, else 0
+	setShift uint8  // log2(nsets) when setMask is set
+	filled   int    // valid lines; lines never invalidate, so once full the
 	// victim scan skips straight to LRU selection
 	// setFilled counts the valid ways per set. Fills always claim the first
 	// invalid way and lines never invalidate, so the valid ways of a set are
@@ -125,15 +136,20 @@ type Cache struct {
 	mshrHead int
 	mshrSeq  uint64
 	mshrMin  uint64 // earliest outstanding fill; purge is a no-op before it
-	tick     uint64
+	// tick stamps lru. When it wraps, renormLRU rewrites every set's stamps
+	// as their ranks, which keeps every victim choice.
+	tick uint32
 
 	// Stats
 	Accesses, Misses, PrefetchIssued, PrefetchUseful, MSHRStalls uint64
 
 	// mshrAddrs and mshrFills are the checkpointed form of the live MSHR
-	// entries in insertion order, kept to reuse their storage. They sit
-	// last so the hot fields above keep their offsets.
+	// entries in insertion order, kept to reuse their storage, and mruWays
+	// that of the MRU hints' ways, sized with the sets so that a checkpoint
+	// of a new core allocates nothing for it (4 bytes per set, off the hit
+	// path). They sit last so the hot fields above keep their offsets.
 	mshrAddrs, mshrFills []uint64
+	mruWays              []uint32
 }
 
 // New builds a cache level in front of next.
@@ -152,15 +168,16 @@ func New(cfg Config, next Backend) *Cache {
 	// division for exotic configurations.
 	if nsets > 0 && nsets&(nsets-1) == 0 {
 		c.setMask = uint64(nsets) - 1
+		c.setShift = uint8(bits.TrailingZeros(uint(nsets)))
 	}
 	// One flat set-major array instead of a slice per set: a single
 	// allocation (an L3 has thousands of sets) and no pointer hop between
 	// the set index and the ways.
 	c.lines = make([]uint64, nsets*cfg.Ways)
-	c.tags = make([]uint64, nsets*cfg.Ways)
-	c.lru = make([]uint64, nsets*cfg.Ways)
-	c.mru = make([]uint32, nsets)
+	c.tags = make([]uint32, nsets*cfg.Ways)
+	c.lru = make([]uint32, nsets*cfg.Ways)
 	c.mruHint = make([]mruEnt, nsets)
+	c.mruWays = make([]uint32, nsets)
 	c.setFilled = make([]uint16, nsets)
 	// Filter sized to at least twice the line count so live counts stay in
 	// the low single digits and saturation never fires in practice.
@@ -207,7 +224,6 @@ func (c *Cache) Reset() {
 	clear(c.lines)
 	clear(c.tags)
 	clear(c.lru)
-	clear(c.mru)
 	clear(c.mruHint)
 	clear(c.setFilled)
 	clear(c.filter)
@@ -223,11 +239,40 @@ func (c *Cache) Reset() {
 	}
 }
 
-func (c *Cache) setIndex(lineAddr uint64) uint64 {
+// key returns lineAddr's set index and its tag key: the line address above
+// the set-index bits, plus one so that 0 marks an invalid way. A line
+// address whose key would not fit 32 bits panics (see maxKey).
+func (c *Cache) key(lineAddr uint64) (si uint64, key uint32) {
+	var q uint64
 	if c.setMask != 0 {
-		return lineAddr & c.setMask
+		si, q = lineAddr&c.setMask, lineAddr>>(c.setShift&63)
+	} else {
+		si, q = lineAddr%c.nsets, lineAddr/c.nsets
 	}
-	return lineAddr % c.nsets
+	if q >= maxKey {
+		panic(keyRangeError{c.cfg.Name, lineAddr << lineShift, c.nsets})
+	}
+	return si, uint32(q) + 1
+}
+
+// lineAddr inverts key: the line address held by a way of set si.
+func (c *Cache) lineAddr(si uint64, key uint32) uint64 {
+	if c.setMask != 0 {
+		return uint64(key-1)<<(c.setShift&63) | si
+	}
+	return uint64(key-1)*c.nsets + si
+}
+
+// keyRangeError is key's panic value: an address whose tag key would not fit
+// 32 bits.
+type keyRangeError struct {
+	cache      string
+	addr, sets uint64
+}
+
+func (e keyRangeError) Error() string {
+	return fmt.Sprintf("cache %s: address %#x is beyond the 32-bit tag key range of %d sets",
+		e.cache, e.addr, e.sets)
 }
 
 // filterSlot hashes a line address into the presence filter. The multiplier
@@ -254,27 +299,21 @@ func (c *Cache) filterRemove(lineAddr uint64) {
 // Name returns the level's configured name.
 func (c *Cache) Name() string { return c.cfg.Name }
 
-// findLine returns the global way index of the resident line, or -1. The
-// caller touches c.lru / c.lines through the index.
-func (c *Cache) findLine(lineAddr uint64) int {
-	si := c.setIndex(lineAddr)
-	base := si * uint64(c.ways)
-	key := lineAddr<<1 | 1
-	// MRU fast path: the hint carries the hinted way's key, so a hit is one
-	// probe with no dependent tag load; tags are unique within a set, so a
-	// hint hit is the same line the way-order scan would return.
-	if h := c.mruHint[si]; h.key == key {
-		return int(base + uint64(h.way))
-	}
+// findLine returns the global way index of the resident line, or -1, from
+// the set's tags. si and key are lineAddr's (see key). lookupOrFill probes
+// the set's MRU hint first; tags are unique within a set, so a hint hit is
+// the line this scan would return. The caller touches c.lru / c.lines
+// through the index.
+func (c *Cache) findLine(lineAddr, si uint64, key uint32) int {
 	// A zero filter slot proves absence: misses — the common case on the
 	// pointer-chase profiles — never walk the tags.
 	if c.filter[c.filterSlot(lineAddr)] == 0 {
 		return -1
 	}
+	base := si * uint64(c.ways)
 	tags := c.tags[base : base+uint64(c.ways)]
 	for i := range tags {
 		if tags[i] == key {
-			c.mru[si] = uint32(i)
 			c.mruHint[si] = mruEnt{key: key, way: uint32(i)}
 			return int(base + uint64(i))
 		}
@@ -282,15 +321,13 @@ func (c *Cache) findLine(lineAddr uint64) int {
 	return -1
 }
 
-// victim returns the global way index to fill for lineAddr: the first invalid
-// way — which is way setFilled[s], since valid ways form a prefix — else the
-// set's LRU way.
-func (c *Cache) victim(lineAddr uint64) (uint64, uint32) {
-	si := c.setIndex(lineAddr)
+// victim returns the way of set si to fill: the first invalid way — which is
+// way setFilled[si], since valid ways form a prefix — else the set's LRU way.
+func (c *Cache) victim(si uint64) uint32 {
 	if f := c.setFilled[si]; int(f) < c.ways {
 		c.setFilled[si] = f + 1
 		c.filled++
-		return si, uint32(f)
+		return uint32(f)
 	}
 	base := si * uint64(c.ways)
 	lru := c.lru[base : base+uint64(c.ways)]
@@ -311,7 +348,32 @@ func (c *Cache) victim(lineAddr uint64) (uint64, uint32) {
 			break
 		}
 	}
-	return si, vw
+	return vw
+}
+
+// renormLRU runs when tick wraps: it rewrites each valid way's stamp as its
+// rank within the set — one more than the number of older stamps there, so
+// the order and any ties are kept — and restarts tick above every rank.
+// Victim selection only compares stamps within one set, and new stamps stay
+// above old ones, so every victim choice is the one 64-bit stamps would
+// make. Invalid ways keep 0; victim never reads them. It runs once per 2^32
+// accesses, so the quadratic count costs nothing measurable.
+func (c *Cache) renormLRU() {
+	ranks := make([]uint32, c.ways)
+	for si := uint64(0); si < c.nsets; si++ {
+		base := si * uint64(c.ways)
+		lru := c.lru[base : base+uint64(c.setFilled[si])]
+		for i, a := range lru {
+			ranks[i] = 1
+			for _, b := range lru {
+				if b < a {
+					ranks[i]++
+				}
+			}
+		}
+		copy(lru, ranks)
+	}
+	c.tick = uint32(c.ways) + 1
 }
 
 // purgeMSHRs retires outstanding misses whose data has arrived by cycle. The
@@ -348,7 +410,9 @@ func (c *Cache) AccessPC(addr, pc uint64, cycle uint64, write, prefetch bool) ui
 	if !prefetch {
 		c.Accesses++
 	}
-	c.tick++
+	if c.tick++; c.tick == 0 {
+		c.renormLRU()
+	}
 
 	ready := c.lookupOrFill(lineAddr, cycle, write, prefetch)
 
@@ -374,7 +438,16 @@ func (c *Cache) observe(addr, pc uint64, miss bool) []uint64 {
 }
 
 func (c *Cache) lookupOrFill(lineAddr, cycle uint64, write, prefetch bool) uint64 {
-	if gi := c.findLine(lineAddr); gi >= 0 {
+	si, key := c.key(lineAddr)
+	// MRU fast path: the hint carries the hinted way's key, so a hit is one
+	// probe with no dependent tag load.
+	var gi int
+	if h := c.mruHint[si]; h.key == key {
+		gi = int(si)*c.ways + int(h.way)
+	} else {
+		gi = c.findLine(lineAddr, si, key)
+	}
+	if gi >= 0 {
 		c.lru[gi] = c.tick
 		v := c.lines[gi]
 		if v&pfBit != 0 && !prefetch {
@@ -422,13 +495,13 @@ func (c *Cache) lookupOrFill(lineAddr, cycle uint64, write, prefetch bool) uint6
 	// the walk only ever descends (fillFrom never re-enters this level, and
 	// prefetches triggered below run entirely in the lower levels), so
 	// nothing read or written here changes before the fill returns.
-	si, vw := c.victim(lineAddr)
-	gi := si*uint64(c.ways) + uint64(vw)
+	vw := c.victim(si)
+	gi = int(si)*c.ways + int(vw)
 	old := c.tags[gi]
 
 	fill := c.fillFrom(lineAddr<<lineShift, issueCycle+c.cfg.Latency, write, prefetch)
 	if old != 0 {
-		c.filterRemove(old >> 1)
+		c.filterRemove(c.lineAddr(si, old))
 	}
 	c.filterAdd(lineAddr)
 	v := fill
@@ -436,10 +509,9 @@ func (c *Cache) lookupOrFill(lineAddr, cycle uint64, write, prefetch bool) uint6
 		v |= pfBit
 	}
 	c.lines[gi] = v
-	c.tags[gi] = lineAddr<<1 | 1
+	c.tags[gi] = key
 	c.lru[gi] = c.tick
-	c.mru[si] = vw
-	c.mruHint[si] = mruEnt{key: lineAddr<<1 | 1, way: vw}
+	c.mruHint[si] = mruEnt{key: key, way: vw}
 	if len(c.mshr) == c.mshrHead || fill < c.mshrMin {
 		c.mshrMin = fill
 	}
@@ -469,7 +541,10 @@ func (c *Cache) mshrPush(e mshrEnt) {
 }
 
 // Contains reports whether the line holding addr is resident (for tests).
-func (c *Cache) Contains(addr uint64) bool { return c.findLine(addr>>lineShift) >= 0 }
+func (c *Cache) Contains(addr uint64) bool {
+	si, key := c.key(addr >> lineShift)
+	return c.findLine(addr>>lineShift, si, key) >= 0
+}
 
 // MissRate returns misses/accesses for demand traffic.
 func (c *Cache) MissRate() float64 {

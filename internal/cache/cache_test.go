@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -128,9 +129,10 @@ func TestMissRate(t *testing.T) {
 }
 
 func TestSetIndexGeometries(t *testing.T) {
-	// The hot path uses a mask when the set count is a power of two and
-	// must fall back to the modulo otherwise; both geometries have to
-	// agree with a direct-mapped reference.
+	// The hot path uses a mask and shift when the set count is a power of
+	// two and must fall back to modulo and division otherwise; both
+	// geometries have to agree with a direct-mapped reference, and the tag
+	// key must map back to its line address.
 	cases := []struct {
 		sizeKB, ways int
 		pow2         bool
@@ -151,9 +153,38 @@ func TestSetIndexGeometries(t *testing.T) {
 			if !c.Contains(addr) {
 				t.Fatalf("%dKB/%d-way: line %#x not resident after fill", tc.sizeKB, tc.ways, addr)
 			}
-			if want := i % c.nsets; c.setIndex(i) != want {
-				t.Fatalf("%dKB/%d-way: setIndex(%d) = %d, want %d", tc.sizeKB, tc.ways, i, c.setIndex(i), want)
+			si, key := c.key(i)
+			if si != i%c.nsets || key != uint32(i/c.nsets)+1 {
+				t.Fatalf("%dKB/%d-way: key(%d) = set %d key %d, want set %d key %d",
+					tc.sizeKB, tc.ways, i, si, key, i%c.nsets, i/c.nsets+1)
+			}
+			if back := c.lineAddr(si, key); back != i {
+				t.Fatalf("%dKB/%d-way: lineAddr(key(%d)) = %d", tc.sizeKB, tc.ways, i, back)
 			}
 		}
+	}
+}
+
+// TestKeyRangeGuard: the last line address whose tag key fits 32 bits is
+// cached like any other, and the next one panics with a message naming the
+// range, on a power-of-two (mask and shift) and a non-power-of-two (modulo
+// and division) geometry.
+func TestKeyRangeGuard(t *testing.T) {
+	for _, g := range []struct{ sizeKB, ways int }{{32, 8}, {3, 16}} {
+		c := New(Config{Name: "guard", SizeKB: g.sizeKB, Ways: g.ways, Latency: 1, MSHRs: 4}, FixedLatency(10))
+		last := (maxKey*c.nsets - 1) << lineShift
+		c.Access(last, 0, false, false)
+		if !c.Contains(last) {
+			t.Fatalf("%d sets: line %#x not resident after fill", c.nsets, last)
+		}
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), "beyond the 32-bit tag key range") {
+					t.Errorf("%d sets: access past the key range: panic %v", c.nsets, err)
+				}
+			}()
+			c.Access(last+LineBytes, 100, false, false)
+		}()
 	}
 }

@@ -15,13 +15,20 @@ import (
 // outstanding misses are stored as two parallel insertion-ordered arrays
 // exactly as the historical compact MSHR arrays were laid out, and a fill
 // array of another length than the address array fails the decode. Line
-// records are stored in their packed 8-byte form (format version 3).
+// records are stored in their packed 8-byte form (format version 3), tags
+// and LRU stamps as 32-bit keys and ticks (format version 5), and of each
+// set's MRU hint only the way.
 func (c *Cache) Walk(s *ckpt.Stream) {
 	s.Tag("cache:" + c.cfg.Name)
 	ckpt.Fixed(s, c.lines)
 	ckpt.Fixed(s, c.tags)
 	ckpt.Fixed(s, c.lru)
-	ckpt.Fixed(s, c.mru)
+	if !s.Decoding() {
+		for si, h := range c.mruHint {
+			c.mruWays[si] = h.way
+		}
+	}
+	ckpt.Fixed(s, c.mruWays)
 	s.Int(&c.filled)
 	if !s.Decoding() {
 		ents := slices.Clone(c.mshr[c.mshrHead:])
@@ -36,7 +43,7 @@ func (c *Cache) Walk(s *ckpt.Stream) {
 	c.mshrFills = slices.Grow(c.mshrFills[:0], len(c.mshrAddrs))[:len(c.mshrAddrs)]
 	ckpt.Fixed(s, c.mshrFills)
 	s.U64(&c.mshrMin)
-	s.U64(&c.tick)
+	s.U32(&c.tick)
 	s.U64(&c.Accesses)
 	s.U64(&c.Misses)
 	s.U64(&c.PrefetchIssued)
@@ -49,10 +56,11 @@ func (c *Cache) Walk(s *ckpt.Stream) {
 }
 
 // Rebuild refills the MSHR ring from the decoded arrays and recomputes the
-// presence filter, per-set fill counts and MRU hints from the tags. Valid
-// ways form a prefix of each set (fills claim the first invalid way and
-// lines never invalidate — the same invariant victim relies on), so the
-// count is also the next victim way.
+// presence filter (from each tag's line address), per-set fill counts and
+// MRU hints from the tags and the stored hint ways. Valid ways form a prefix
+// of each set (fills claim the first invalid way and lines never invalidate
+// — the same invariant victim relies on), so the count is also the next
+// victim way.
 func (c *Cache) Rebuild() error {
 	c.mshr = c.mshr[:0]
 	c.mshrHead = 0
@@ -71,14 +79,14 @@ func (c *Cache) Rebuild() error {
 			if tag == 0 {
 				break
 			}
-			c.filterAdd(tag >> 1)
+			c.filterAdd(c.lineAddr(si, tag))
 			n++
 		}
 		c.setFilled[si] = n
-		// Reconstitute the folded MRU hint from the stored way hint; an
+		// Reconstitute the folded MRU hint from the stored way; an
 		// out-of-range or invalid hinted way leaves key 0, which never
 		// matches.
-		if m := c.mru[si]; int(m) < c.ways {
+		if m := c.mruWays[si]; int(m) < c.ways {
 			c.mruHint[si] = mruEnt{key: c.tags[base+uint64(m)], way: m}
 		} else {
 			c.mruHint[si] = mruEnt{}

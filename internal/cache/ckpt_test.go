@@ -27,11 +27,17 @@ func TestMSHRLengthMismatchFails(t *testing.T) {
 		ckpt.Fixed(s, c.lines)
 		ckpt.Fixed(s, c.tags)
 		ckpt.Fixed(s, c.lru)
-		ckpt.Fixed(s, c.mru)
+		ways := make([]uint32, len(c.mruHint))
+		for si, h := range c.mruHint {
+			ways[si] = h.way
+		}
+		ckpt.Fixed(s, ways)
 		s.Int(&c.filled)
 		ckpt.Slice(s, &addrs)
 		ckpt.Slice(s, &fills)
-		for _, v := range []*uint64{&c.mshrMin, &c.tick, &c.Accesses, &c.Misses,
+		s.U64(&c.mshrMin)
+		s.U32(&c.tick)
+		for _, v := range []*uint64{&c.Accesses, &c.Misses,
 			&c.PrefetchIssued, &c.PrefetchUseful, &c.MSHRStalls} {
 			s.U64(v)
 		}

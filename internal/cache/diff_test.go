@@ -338,10 +338,18 @@ type diffGeometry struct {
 	pf                  string // "", "stride", "stream"
 }
 
+// diffVariant is one run shape over a geometry. "wrap" starts the 32-bit
+// LRU tick just below 2^32 and pushes it there again halfway, so the stamps
+// renormalise twice mid-sequence. "top" places the line pool at the top of
+// the tag key range; only geometries without a prefetcher run it, because
+// prefetch targets beyond the pool would leave the range.
+var diffVariants = []string{"plain", "wrap", "top"}
+
 // TestCacheDifferential quickchecks the optimized Cache against refCache over
 // randomized access sequences: every returned ready cycle and every statistic
 // must agree exactly. Geometries include single-set, non-power-of-two set
-// counts and MSHR counts small enough that exhaustion is routine.
+// counts and MSHR counts small enough that exhaustion is routine; each runs
+// every diffVariant against the same 64-bit reference.
 func TestCacheDifferential(t *testing.T) {
 	geoms := []diffGeometry{
 		{1, 16, 2, 1, ""}, // 1 set: every access conflicts
@@ -362,77 +370,102 @@ func TestCacheDifferential(t *testing.T) {
 	)
 	cases := 0
 	for gi, g := range geoms {
-		for seed := 0; seed < seedsPerGeom; seed++ {
-			rng := rand.New(rand.NewSource(int64(gi*1000 + seed)))
-			cfg := Config{
-				Name: "diff", SizeKB: g.sizeKB, Ways: g.ways,
-				Latency: g.latency, MSHRs: g.mshrs,
+		for _, variant := range diffVariants {
+			if variant == "top" && g.pf != "" {
+				continue
 			}
-			var rpf refPrefetcher
-			switch g.pf {
-			case "stride":
-				cfg.Prefetch = NewStride(8, 1)
-				rpf = newRefStride(8, 1)
-			case "stream":
-				cfg.Prefetch = NewStream(4, 1)
-				rpf = newRefStream(4, 1)
-			}
-			opt := New(cfg, FixedLatency(25))
-			ref := newRefCache(cfg, FixedLatency(25), rpf)
-
-			// A small line pool forces set conflicts, MSHR merges and
-			// repeated evictions; runs of sequential lines train the
-			// stream prefetcher through its full allocate/extend/confirm
-			// life cycle.
-			poolLines := 4 * g.sizeKB * 16 / g.ways
-			cycle := uint64(0)
-			runLeft, runLine, runDir := 0, uint64(0), int64(1)
-			for op := 0; op < opsPerSeed; op++ {
-				var lineAddr uint64
-				if runLeft > 0 {
-					runLeft--
-					runLine = uint64(int64(runLine) + runDir)
-					lineAddr = runLine
-				} else if g.pf == "stream" && rng.Intn(3) == 0 {
-					runLeft = 3 + rng.Intn(6)
-					runLine = uint64(rng.Intn(poolLines)) + 16
-					runDir = int64(1 - 2*rng.Intn(2))
-					lineAddr = runLine
-				} else {
-					lineAddr = uint64(rng.Intn(poolLines))
-				}
-				addr := lineAddr<<lineShift | uint64(rng.Intn(LineBytes))
-				pc := uint64(rng.Intn(6))*4 + 0x1000
-				write := rng.Intn(8) == 0
-				prefetch := rng.Intn(10) == 0
-				cycle += uint64(rng.Intn(25)) // often small: fills race purges
-
-				got := opt.AccessPC(addr, pc, cycle, write, prefetch)
-				want := ref.accessPC(addr, pc, cycle, write, prefetch)
-				if got != want {
-					t.Fatalf("geom %+v seed %d op %d: addr %#x cycle %d prefetch %v: ready %d, reference %d",
-						g, seed, op, addr, cycle, prefetch, got, want)
-				}
-				cases++
-			}
-			if opt.Accesses != ref.accesses || opt.Misses != ref.misses ||
-				opt.PrefetchIssued != ref.pfIssued || opt.PrefetchUseful != ref.pfUseful ||
-				opt.MSHRStalls != ref.mshrStalls {
-				t.Fatalf("geom %+v seed %d: stats (acc %d mis %d pfi %d pfu %d stall %d) != reference (acc %d mis %d pfi %d pfu %d stall %d)",
-					g, seed, opt.Accesses, opt.Misses, opt.PrefetchIssued, opt.PrefetchUseful, opt.MSHRStalls,
-					ref.accesses, ref.misses, ref.pfIssued, ref.pfUseful, ref.mshrStalls)
-			}
-			for l := 0; l < poolLines; l++ {
-				addr := uint64(l) << lineShift
-				if opt.Contains(addr) != ref.contains(addr) {
-					t.Fatalf("geom %+v seed %d: residency of line %d disagrees", g, seed, l)
-				}
+			for seed := 0; seed < seedsPerGeom; seed++ {
+				cases += runDifferential(t, gi, g, variant, seed, opsPerSeed)
 			}
 		}
 	}
 	if cases < 10000 {
 		t.Fatalf("only %d differential cases run, want >= 10000", cases)
 	}
+}
+
+// runDifferential runs one seeded access sequence through a Cache and a
+// refCache of geometry g and returns the number of accesses compared.
+func runDifferential(t *testing.T, gi int, g diffGeometry, variant string, seed, ops int) int {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(gi*1000 + seed)))
+	cfg := Config{
+		Name: "diff", SizeKB: g.sizeKB, Ways: g.ways,
+		Latency: g.latency, MSHRs: g.mshrs,
+	}
+	var rpf refPrefetcher
+	switch g.pf {
+	case "stride":
+		cfg.Prefetch = NewStride(8, 1)
+		rpf = newRefStride(8, 1)
+	case "stream":
+		cfg.Prefetch = NewStream(4, 1)
+		rpf = newRefStream(4, 1)
+	}
+	opt := New(cfg, FixedLatency(25))
+	ref := newRefCache(cfg, FixedLatency(25), rpf)
+
+	// A small line pool forces set conflicts, MSHR merges and
+	// repeated evictions; runs of sequential lines train the
+	// stream prefetcher through its full allocate/extend/confirm
+	// life cycle.
+	poolLines := 4 * g.sizeKB * 16 / g.ways
+	var lineBase uint64
+	if variant == "top" {
+		lineBase = maxKey*opt.nsets - uint64(poolLines)
+	}
+	const nearWrap = 1<<32 - 12
+	cycle := uint64(0)
+	runLeft, runLine, runDir := 0, uint64(0), int64(1)
+	cases := 0
+	for op := 0; op < ops; op++ {
+		if variant == "wrap" && op%(ops/2) == 0 {
+			opt.tick = nearWrap
+		}
+		var lineAddr uint64
+		if runLeft > 0 {
+			runLeft--
+			runLine = uint64(int64(runLine) + runDir)
+			lineAddr = runLine
+		} else if g.pf == "stream" && rng.Intn(3) == 0 {
+			runLeft = 3 + rng.Intn(6)
+			runLine = uint64(rng.Intn(poolLines)) + 16
+			runDir = int64(1 - 2*rng.Intn(2))
+			lineAddr = runLine
+		} else {
+			lineAddr = lineBase + uint64(rng.Intn(poolLines))
+		}
+		addr := lineAddr<<lineShift | uint64(rng.Intn(LineBytes))
+		pc := uint64(rng.Intn(6))*4 + 0x1000
+		write := rng.Intn(8) == 0
+		prefetch := rng.Intn(10) == 0
+		cycle += uint64(rng.Intn(25)) // often small: fills race purges
+
+		got := opt.AccessPC(addr, pc, cycle, write, prefetch)
+		want := ref.accessPC(addr, pc, cycle, write, prefetch)
+		if got != want {
+			t.Fatalf("geom %+v %s seed %d op %d: addr %#x cycle %d prefetch %v: ready %d, reference %d",
+				g, variant, seed, op, addr, cycle, prefetch, got, want)
+		}
+		cases++
+	}
+	if opt.Accesses != ref.accesses || opt.Misses != ref.misses ||
+		opt.PrefetchIssued != ref.pfIssued || opt.PrefetchUseful != ref.pfUseful ||
+		opt.MSHRStalls != ref.mshrStalls {
+		t.Fatalf("geom %+v %s seed %d: stats (acc %d mis %d pfi %d pfu %d stall %d) != reference (acc %d mis %d pfi %d pfu %d stall %d)",
+			g, variant, seed, opt.Accesses, opt.Misses, opt.PrefetchIssued, opt.PrefetchUseful, opt.MSHRStalls,
+			ref.accesses, ref.misses, ref.pfIssued, ref.pfUseful, ref.mshrStalls)
+	}
+	for l := 0; l < poolLines; l++ {
+		addr := (lineBase + uint64(l)) << lineShift
+		if opt.Contains(addr) != ref.contains(addr) {
+			t.Fatalf("geom %+v %s seed %d: residency of line %d disagrees", g, variant, seed, l)
+		}
+	}
+	if variant == "wrap" && opt.tick >= nearWrap {
+		t.Fatalf("geom %+v seed %d: the LRU tick never wrapped", g, seed)
+	}
+	return cases
 }
 
 // TestCacheDifferentialChain runs the differential over a two-level chain so

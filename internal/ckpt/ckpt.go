@@ -51,8 +51,10 @@ import (
 // dyn/hotState records moved renameReady between them. 3 — the RSEP FIFO
 // history ring shrank to 8-byte entries (implied CSNs, delta chain links)
 // and stopped serializing its derivable bucket heads. 4 — POD slices
-// zero-run encoded (raw structs too).
-const FormatVersion uint32 = 4
+// zero-run encoded (raw structs too). 5 — cache tags and LRU stamps shrank
+// to 32-bit keys and ticks, and each set's MRU hint is stored as its way
+// alone.
+const FormatVersion uint32 = 5
 
 const magic = "RSEPCKPT"
 

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -513,4 +517,46 @@ func FuzzReader(f *testing.F) {
 			t.Fatalf("decode allocated %d bytes, bound %d", got, bound)
 		}
 	})
+}
+
+// TestFuzzSeedsDecodeAsNamed pins what each FuzzReader seed exercises, so a
+// FormatVersion bump that leaves the corpus behind fails here instead of
+// leaving the fuzzer stuck at the header: the well-formed seeds decode, and
+// each damaged one fails the way its name says.
+func TestFuzzSeedsDecodeAsNamed(t *testing.T) {
+	tagErr := errors.New("any error past the header")
+	want := map[string]error{
+		"valid":           nil,
+		"all-zero":        nil,
+		"empty-slices":    nil,
+		"flipped-bit":     ErrChecksum,
+		"truncated":       io.ErrUnexpectedEOF,
+		"expect-long-tag": tagErr,
+		"version3":        ErrVersion,
+		"version4":        ErrVersion,
+	}
+	for seed, wantErr := range want {
+		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReader", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, arg, _ := strings.Cut(strings.TrimSpace(string(file)), "\n")
+		raw, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(arg, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", seed, err)
+		}
+		schema := fuzzSchema{fixed: make([]uint16, fuzzFixedLen)}
+		r, err := NewDecoder(strings.NewReader(raw))
+		if err == nil {
+			schema.walk(r)
+			err = r.Close()
+		}
+		ok := errors.Is(err, wantErr)
+		if wantErr == tagErr {
+			ok = err != nil && !errors.Is(err, ErrVersion)
+		}
+		if !ok {
+			t.Errorf("%s: decode error %v, want %v", seed, err, wantErr)
+		}
+	}
 }

@@ -107,10 +107,10 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		t.Skip("checkpoint bytes depend on the native memory layout; pinned on amd64")
 	}
 	want := map[string]string{
-		"baseline":       "eab1a88bc8ac843c15a0a0074be48d93750bd1318f8a00f758da531101084934",
-		"rsep-realistic": "0dbca338e6017c3401f660299b367dbd11ef25eef54dc8c4bee3bad171d2a3b9",
-		"rsep-vp":        "830526ceee2a44bdc96af6f55e6dc8b041b77083d1477bd53ecd013f08904a6a",
-		"storesets":      "67e89d08473b86380ddcfe16f99625461006fc78bb15e0d3c700fd24aa877018",
+		"baseline":       "e83e6f90fa3fc5197368c34e1298d9ea0c870bbb1c20942666a6fbe25dda02d2",
+		"rsep-realistic": "478cf21adcd13e3d16043d36f4d450f486cc7a107cf4bcd2de39b93180c321b4",
+		"rsep-vp":        "56ffb53f2b76a71ad889d694fce2a4d2fd8d39307993d0d69bda27532336f493",
+		"storesets":      "81ed27162e51f6d26507d3109b048637a66fddff99b6636cc2b51e214010f5df",
 	}
 	for _, tc := range checkpointCases() {
 		t.Run(tc.name, func(t *testing.T) {

@@ -169,9 +169,6 @@ func New(cfg *config.Config, src trace.Source) *Core {
 // Stats returns the accumulated statistics.
 func (c *Core) Stats() *metrics.Stats { return &c.stats }
 
-// Cycle returns the current cycle.
-func (c *Core) Cycle() uint64 { return c.cycle }
-
 // ResetStats clears counters at the end of warmup, keeping all
 // microarchitectural state.
 func (c *Core) ResetStats() { c.stats = metrics.Stats{} }

@@ -55,6 +55,3 @@ func (c *Core) CheckInvariants() error {
 	}
 	return nil
 }
-
-// InflightCount reports the number of instructions in the ROB (for tests).
-func (c *Core) InflightCount() int { return c.robLen() }

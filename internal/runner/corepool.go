@@ -32,8 +32,9 @@ const corePoolMax = 8
 // coreIdleTTL is how long an idle core is kept: long enough that a sweep
 // in progress keeps a core between two jobs on its machine, short enough
 // that a process that stops simulating — a daemon between bursts, a sweep
-// the store answers — soon gives its cores back. A core is several MB, and
-// hundreds at the largest sizes config.Validate admits.
+// the store answers — soon gives its cores back. A Table I core is 4.3 MB
+// (5.1 MB with ideal RSEP, 5.9 MB with RSEP and D-VTAGE; DESIGN.md §3.5),
+// and hundreds of MB at the largest sizes config.Validate admits.
 const coreIdleTTL = 10 * time.Second
 
 // pooledCore is a core on loan from the pool, or idle in it, together with

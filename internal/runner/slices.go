@@ -81,6 +81,16 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 	}
 	defer release()
 
+	// checkpoint stores the core's state at the boundary at. The store only
+	// borrows the bytes, so the core's buffer is reused.
+	checkpoint := func(at uint64) {
+		core.ckpt.Reset()
+		if err := core.Checkpoint(&core.ckpt); err == nil {
+			ss.PutCheckpoint(CheckpointKey{Bench: j.Bench, ConfigHash: cfgHash,
+				Seed: j.Seed, Warmup: j.Warmup, At: at}, core.ckpt.Bytes())
+		}
+	}
+
 	resolve := func(k int, resumed bool) {
 		if resumed {
 			s.slicesResumed.Add(1)
@@ -149,6 +159,13 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 					if ctx.Err() != nil {
 						return nil, context.Cause(ctx)
 					}
+					// The boundary had no checkpoint, or one Restore
+					// refused (damaged, or from an older format). Storing
+					// it now spares the next run at this boundary the
+					// refused read and the fast-forward.
+					if ss != nil {
+						checkpoint(start)
+					}
 				}
 			}
 		}
@@ -166,13 +183,8 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 		if ss != nil {
 			ss.PutSlice(sk, &delta)
 			// Checkpoint every boundary, the final one included — that is
-			// what lets a later submission extend this Measure. The store
-			// only borrows the bytes, so the core's buffer is reused.
-			core.ckpt.Reset()
-			if err := core.Checkpoint(&core.ckpt); err == nil {
-				ss.PutCheckpoint(CheckpointKey{Bench: j.Bench, ConfigHash: cfgHash,
-					Seed: j.Seed, Warmup: j.Warmup, At: end}, core.ckpt.Bytes())
-			}
+			// what lets a later submission extend this Measure.
+			checkpoint(end)
 		}
 		resolve(k, false)
 	}

@@ -265,6 +265,88 @@ func TestSlicedExtension(t *testing.T) {
 	}
 }
 
+// ckptRecorder is a Cache that records the boundary of every checkpoint put.
+type ckptRecorder struct {
+	*Cache
+	puts []uint64
+}
+
+func (r *ckptRecorder) PutCheckpoint(k CheckpointKey, blob []byte) {
+	r.puts = append(r.puts, k.At)
+	r.Cache.PutCheckpoint(k, blob)
+}
+
+// TestSlicedHealsRefusedCheckpoint: when Restore refuses the checkpoint at
+// an extension's first new boundary (here one with an older format version),
+// the fast-forward that replaces it stores a good checkpoint there, so the
+// next run from that boundary restores instead of fast-forwarding again.
+func TestSlicedHealsRefusedCheckpoint(t *testing.T) {
+	cfg := config.TableI()
+	short := Job{Bench: "mcf", Config: cfg, Seed: 5, Warmup: 2_000, Measure: 10_000, Slices: 2}
+	long := Job{Bench: "mcf", Config: cfg, Seed: 5, Warmup: 2_000, Measure: 20_000, Slices: 4}
+	const boundary = 10_000
+
+	store := &ckptRecorder{Cache: NewCache()}
+	if _, err := NewScheduler(SchedulerOptions{Parallelism: 1, Store: store}).RunBatch(
+		context.Background(), Batch{Jobs: []Job{short}}); err != nil {
+		t.Fatal(err)
+	}
+	var key CheckpointKey
+	for k := range store.ckpts {
+		if k.At == boundary {
+			key = k
+		}
+	}
+	good := append([]byte(nil), store.ckpts[key]...)
+	bad := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[len("RSEPCKPT"):], ckpt.FormatVersion-1)
+	store.ckpts[key] = bad
+
+	mono, err := Simulate(context.Background(), long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extend := func(step string) []uint64 {
+		store.puts = nil
+		sched := NewScheduler(SchedulerOptions{Parallelism: 1, Store: store})
+		got, err := sched.RunBatch(context.Background(), Batch{Jobs: []Job{long}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := sched.Status(); st.SlicesRun != 2 || st.SlicesResumed != 2 {
+			t.Fatalf("%s: SlicesRun=%d SlicesResumed=%d, want 2/2", step, st.SlicesRun, st.SlicesResumed)
+		}
+		if g, w := statsBytes(t, got[0].Stats), statsBytes(t, mono); string(g) != string(w) {
+			t.Errorf("%s: stats differ from monolithic\n got: %s\nwant: %s", step, g, w)
+		}
+		return store.puts
+	}
+
+	if puts := extend("refused"); len(puts) != 3 || puts[0] != boundary {
+		t.Fatalf("refused restore: checkpoints put at %v, want the healed %d first", puts, boundary)
+	}
+	if !bytes.Equal(store.ckpts[key], good) {
+		t.Fatal("healed checkpoint differs from the one the short run wrote")
+	}
+
+	// Forget the extension's result, slices and later checkpoints, so the
+	// next run must position a core at the healed boundary again.
+	clear(store.entries)
+	for k := range store.slices {
+		if k.End > boundary {
+			delete(store.slices, k)
+		}
+	}
+	for k := range store.ckpts {
+		if k.At > boundary {
+			delete(store.ckpts, k)
+		}
+	}
+	if puts := extend("healed"); len(puts) != 2 || puts[0] == boundary {
+		t.Fatalf("healed restore: checkpoints put at %v, want only the two new boundaries", puts)
+	}
+}
+
 // TestSliceTargets pins the grid arithmetic: cumulative boundaries, remainder
 // folded into the last slice.
 func TestSliceTargets(t *testing.T) {

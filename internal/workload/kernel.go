@@ -80,11 +80,6 @@ func (b *B) Mul(val *ValueSpec, srcs ...int) int {
 	return b.add(SlotSpec{Class: uarch.ClassIntMul, Val: val, Srcs: srcs, AddrFrom: -1, StoreFrom: -1})
 }
 
-// Div appends an integer divide.
-func (b *B) Div(val *ValueSpec, srcs ...int) int {
-	return b.add(SlotSpec{Class: uarch.ClassIntDiv, Val: val, Srcs: srcs, AddrFrom: -1, StoreFrom: -1})
-}
-
 // Fp appends an FP ALU op.
 func (b *B) Fp(val *ValueSpec, srcs ...int) int {
 	return b.add(SlotSpec{Class: uarch.ClassFPAlu, Val: val, Srcs: srcs, AddrFrom: -1, StoreFrom: -1})
@@ -134,15 +129,6 @@ func (b *B) Chase(mem *MemSpec) int {
 func (b *B) Field(ptr int, off uint64, val *ValueSpec) int {
 	return b.add(SlotSpec{
 		Class: uarch.ClassLoad, Val: val,
-		AddrFrom: ptr, AddrOff: off, Srcs: []int{ptr}, StoreFrom: -1,
-	})
-}
-
-// FieldAt is Field with an address-keyed content function (consistent per
-// node) instead of an iteration-ordered stream.
-func (b *B) FieldAt(ptr int, off uint64, mem *MemSpec) int {
-	return b.add(SlotSpec{
-		Class: uarch.ClassLoad, Mem: mem,
 		AddrFrom: ptr, AddrOff: off, Srcs: []int{ptr}, StoreFrom: -1,
 	})
 }
