@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rsepsim/internal/branch"
 	"rsepsim/internal/config"
 	"rsepsim/internal/experiments"
 	"rsepsim/internal/metrics"
@@ -18,6 +19,7 @@ import (
 	"rsepsim/internal/predictor"
 	"rsepsim/internal/rsep"
 	"rsepsim/internal/runner"
+	"rsepsim/internal/uarch"
 	"rsepsim/internal/vpred"
 	"rsepsim/internal/workload"
 )
@@ -258,38 +260,55 @@ func BenchmarkDVTAGE(b *testing.B) {
 	}
 }
 
-// BenchmarkBranchPredictor measures the front-end TAGE, one committed
-// instruction of gobmk per call.
+// BenchmarkBranchPredictor measures the front-end branch predictor alone
+// (TAGE direction, BTB and RAS): a prediction and its resolution per call,
+// over a gobmk branch stream, with the mispredicted flag the pipeline's
+// trace-driven check would raise.
 func BenchmarkBranchPredictor(b *testing.B) {
-	bp := pipelineBranchBench()
+	bp := branchBench()
 	b.ResetTimer()
-	bp(b.N * microBatch)
+	for range b.N {
+		bp(microBatch)
+	}
 }
 
-func pipelineBranchBench() func(int) {
-	// Kept in a helper so the bench body stays allocation-free.
-	core := pipeline.New(config.TableI(), workload.New(workload.MustByName("gobmk"), 3))
-	// Warm to the steady-state footprint first: with tiny -benchtime iteration
-	// counts the arena/ring/queue growth of the first hundred thousand or so
-	// committed instructions otherwise lands inside the timed region and
-	// shows up as per-op allocations in BENCH_PIPELINE.json.
-	core.Run(200_000)
-	return func(n int) {
-		core.Run(uint64(n))
+// branchBench returns a function that predicts and resolves the next n
+// branches of a recorded gobmk stream, wrapping around at its end. Kept in a
+// helper so the bench body stays allocation-free.
+func branchBench() func(int) {
+	gen := workload.New(workload.MustByName("gobmk"), 3)
+	var stream []uarch.Inst
+	for len(stream) < 64*microBatch {
+		if in, _ := gen.Next(); in.IsBranch() {
+			stream = append(stream, in)
+		}
 	}
+	bp := branch.New(rand.New(rand.NewSource(3)))
+	var pr branch.Prediction
+	next := 0
+	run := func(n int) {
+		for range n {
+			in := &stream[next]
+			bp.PredictInto(in, &pr)
+			mispredicted := in.BrKind == uarch.BrCond && pr.Taken != in.Taken ||
+				in.Taken && pr.TargetHit && pr.Target != in.Target
+			bp.Resolve(in, &pr, mispredicted)
+			if next++; next == len(stream) {
+				next = 0
+			}
+		}
+	}
+	run(len(stream)) // warm: train the tables on the whole stream once
+	return run
 }
 
 // TestBranchPredictorBenchAllocations pins BenchmarkBranchPredictor's timed
 // region at zero steady-state allocations, the same property the committed
 // benchmark record is expected to show.
 func TestBranchPredictorBenchAllocations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	bp := pipelineBranchBench()
-	const insts = 5_000
-	allocs := testing.AllocsPerRun(3, func() { bp(insts) })
+	bp := branchBench()
+	allocs := testing.AllocsPerRun(3, func() { bp(microBatch) })
 	if allocs > 0 {
-		t.Errorf("branch predictor bench allocated %.1f allocs per %d insts; want 0", allocs, insts)
+		t.Errorf("branch predictor bench allocated %.1f allocs per %d branches; want 0", allocs, microBatch)
 	}
 }

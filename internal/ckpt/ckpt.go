@@ -29,7 +29,6 @@
 package ckpt
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -133,7 +132,7 @@ const maxAlloc = 64 << 20
 type Stream struct {
 	dec     bool
 	w       io.Writer
-	br      *bufio.Reader
+	r       io.Reader
 	crc     crcAcc
 	err     error
 	scratch [8]byte   // fixed-width values, so coding them never allocates
@@ -161,9 +160,12 @@ func NewEncoder(w io.Writer) *Stream {
 }
 
 // NewDecoder opens a checkpoint stream, validating the header. A version or
-// architecture mismatch is an immediate error.
+// architecture mismatch is an immediate error. Reads go straight to r, many
+// of them a few bytes long, so a caller decoding a file or socket should pass
+// a buffered reader; an in-memory reader (bytes.Reader, bytes.Buffer) needs
+// no staging copy.
 func NewDecoder(r io.Reader) (*Stream, error) {
-	s := &Stream{dec: true, br: bufio.NewReaderSize(r, 1<<16)}
+	s := &Stream{dec: true, r: r}
 	s.rebuild = s.rebuildBuf[:0]
 	if err := s.header(); err != nil {
 		return nil, err
@@ -230,7 +232,7 @@ func (s *Stream) readRaw(b []byte) {
 		clear(b)
 		return
 	}
-	if _, err := io.ReadFull(s.br, b); err != nil {
+	if _, err := io.ReadFull(s.r, b); err != nil {
 		s.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
 		clear(b)
 		return
@@ -360,7 +362,7 @@ func (s *Stream) Close() error {
 		}
 		return s.err
 	}
-	if _, err := io.ReadFull(s.br, s.scratch[:]); err != nil {
+	if _, err := io.ReadFull(s.r, s.scratch[:]); err != nil {
 		s.fail(fmt.Errorf("ckpt: truncated checkpoint: %w", err))
 		return s.err
 	}

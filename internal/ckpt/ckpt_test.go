@@ -415,6 +415,18 @@ func TestPrimitivesDoNotAllocate(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A decoder reads straight from an in-memory reader: opening one
+	// allocates the Stream and no staging buffer.
+	in := bytes.NewReader(buf.Bytes())
+	if n := testing.AllocsPerRun(100, func() {
+		in.Reset(buf.Bytes())
+		if _, err := NewDecoder(in); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("NewDecoder allocates %.1f times, want only its Stream", n)
+	}
+
 	r, err := NewDecoder(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)

@@ -187,7 +187,10 @@ func TestCheckpointRefusals(t *testing.T) {
 // BenchmarkCheckpointRoundTrip measures the per-boundary cost of sliced
 // execution: Checkpoint of a core at the 30k+30k mcf boundary the sliced
 // daemon workload uses, then Restore of the blob into a second core of the
-// same geometry. ckpt_bytes is the blob size.
+// same geometry, over one generator rewound per op as the sliced runner
+// rewinds its own. One untimed round trip first grows the blob buffer and
+// the second core's tables, so an op times a warm boundary and its
+// allocation counts repeat from run to run. ckpt_bytes is the blob size.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	base := config.TableI()
 	cases := []struct {
@@ -202,22 +205,36 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := tc.cfg.Clone()
 			cfg.Seed = 1
-			src := func() *workload.Gen { return workload.New(workload.MustByName("mcf"), 1) }
-			core := New(cfg, src())
+			prof := workload.MustByName("mcf")
+			core := New(cfg, workload.New(prof, 1))
 			core.Run(30_000)
 			core.ResetStats()
 			core.Run(30_000)
-			other := New(cfg, src())
+			gen := workload.New(prof, 1)
+			other := New(cfg, gen)
 			var blob bytes.Buffer
-			b.ReportAllocs()
-			for b.Loop() {
+			roundTrip := func() {
 				blob.Reset()
 				if err := core.Checkpoint(&blob); err != nil {
 					b.Fatal(err)
 				}
-				if err := other.Restore(cfg, src(), bytes.NewReader(blob.Bytes())); err != nil {
+				gen.Reset(prof, 1)
+				if err := other.Restore(cfg, gen, bytes.NewReader(blob.Bytes())); err != nil {
 					b.Fatal(err)
 				}
+			}
+			// Restore hashes its config through sync.Pools, which cache
+			// per P and are emptied by a collection: an op on another P
+			// than the warm round trip, or after a collection, allocates
+			// pool state again. One P (the round trip is single-threaded)
+			// and a collection of the set-up's garbage before the warm
+			// round trip keep the allocation counts exact.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			runtime.GC()
+			roundTrip()
+			b.ReportAllocs()
+			for b.Loop() {
+				roundTrip()
 			}
 			b.ReportMetric(float64(blob.Len()), "ckpt_bytes")
 		})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 
+	"rsepsim/internal/config"
 	"rsepsim/internal/metrics"
 	"rsepsim/internal/workload"
 )
@@ -28,6 +29,26 @@ func sliceTargets(measure uint64, slices uint32) []uint64 {
 	}
 	targets[len(targets)-1] = measure
 	return targets
+}
+
+// restore rewinds p, whose source gen is at its first instruction, to the
+// checkpoint stored under k. It reports whether the store held one, and
+// Restore's error if the blob was refused. A store that offers
+// CheckpointReader reads the blob into p's own checkpoint buffer, the one
+// its boundaries are encoded into, so a restore copies no blob; any other
+// store is read through GetCheckpoint.
+func (p *pooledCore) restore(ss SliceStore, k CheckpointKey, cfg *config.Config, gen *workload.Gen) (bool, error) {
+	var blob []byte
+	var ok bool
+	if r, can := ss.(CheckpointReader); can {
+		blob, ok = r.ReadCheckpoint(k, &p.ckpt)
+	} else {
+		blob, ok = ss.GetCheckpoint(k)
+	}
+	if !ok {
+		return false, nil
+	}
+	return true, p.Restore(cfg, gen, bytes.NewReader(blob))
 }
 
 // runSliced executes a sliced job: each slice is looked up in the store
@@ -132,18 +153,16 @@ func (s *Scheduler) runSliced(ctx context.Context, j Job, notify func(slice int,
 			if k > 0 && ss != nil {
 				ck := CheckpointKey{Bench: j.Bench, ConfigHash: cfgHash,
 					Seed: j.Seed, Warmup: j.Warmup, At: start}
-				if blob, ok := ss.GetCheckpoint(ck); ok {
-					// coreFor pulled nothing from gen, so it is still at
-					// the first instruction, as Restore requires.
-					if err := core.Restore(cfg, gen, bytes.NewReader(blob)); err == nil {
-						restored = true
-					} else {
-						// Damaged or mismatched blob: rebuild from scratch.
-						// ResetFor rewrites every table, so the half-restored
-						// state cannot leak.
-						core.ResetFor(cfg, freshSrc())
-						core.SetCancel(ctx.Done())
-					}
+				// coreFor pulled nothing from gen, so it is still at the
+				// first instruction, as Restore requires.
+				found, err := core.restore(ss, ck, cfg, gen)
+				restored = found && err == nil
+				if found && err != nil {
+					// Damaged or mismatched blob: rebuild from scratch.
+					// ResetFor rewrites every table, so the half-restored
+					// state cannot leak.
+					core.ResetFor(cfg, freshSrc())
+					core.SetCancel(ctx.Done())
 				}
 			}
 			if !restored {

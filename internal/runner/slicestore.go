@@ -1,6 +1,10 @@
 package runner
 
-import "rsepsim/internal/metrics"
+import (
+	"bytes"
+
+	"rsepsim/internal/metrics"
+)
 
 // SliceKey identifies one slice of a sliced run: the per-slice Stats delta
 // accumulated over the measured-instruction span [Start, End), after Warmup
@@ -43,9 +47,24 @@ type CheckpointKey struct {
 // once the call returns, so a store copies or writes out whatever it keeps
 // before returning. GetCheckpoint may return stored bytes, which the caller
 // must not modify.
+//
+// A restore reads a checkpoint through the optional CheckpointReader when the
+// store has it, the way io.Copy uses a WriterTo, and through GetCheckpoint
+// otherwise: a store or wrapper with only this method set restores correctly,
+// through whatever copy its GetCheckpoint makes.
 type SliceStore interface {
 	GetSlice(k SliceKey) (*metrics.Stats, bool)
 	PutSlice(k SliceKey, st *metrics.Stats)
 	GetCheckpoint(k CheckpointKey) ([]byte, bool)
 	PutCheckpoint(k CheckpointKey, blob []byte)
+}
+
+// CheckpointReader is the SliceStore capability a restore uses to read a
+// checkpoint without copying it. ReadCheckpoint returns the blob stored at k
+// in bytes that alias either buf or memory the store already holds, never a
+// fresh copy; the caller must not modify them. Reading into buf resets it
+// and grows it only when the blob does not fit, so a buffer reused across
+// restores stops growing. Damage is a stale miss, as for GetCheckpoint.
+type CheckpointReader interface {
+	ReadCheckpoint(k CheckpointKey, buf *bytes.Buffer) ([]byte, bool)
 }

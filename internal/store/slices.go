@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -28,6 +30,9 @@ const (
 var (
 	_ runner.SliceStore = (*Disk)(nil)
 	_ runner.SliceStore = (*Tiered)(nil)
+
+	_ runner.CheckpointReader = (*Disk)(nil)
+	_ runner.CheckpointReader = (*Tiered)(nil)
 )
 
 // sliceKeyFields mirrors runner.SliceKey, keeping the envelope
@@ -100,9 +105,7 @@ func (d *Disk) GetSlice(k runner.SliceKey) (*metrics.Stats, bool) {
 		env, st, err = decodeSliceEntry(buf.Bytes())
 	}
 	if err != nil || env.Key.key() != k {
-		d.mu.Lock()
-		d.stale++
-		d.mu.Unlock()
+		d.countStale()
 		return nil, false
 	}
 	return st, true
@@ -153,30 +156,51 @@ func (d *Disk) PutSlice(k runner.SliceKey, st *metrics.Stats) {
 	}
 }
 
-// GetCheckpoint loads the checkpoint blob stored at k. The file is a 32-byte
+// GetCheckpoint loads the checkpoint blob stored at k into a fresh buffer
+// (see ReadCheckpoint).
+func (d *Disk) GetCheckpoint(k runner.CheckpointKey) ([]byte, bool) {
+	return d.ReadCheckpoint(k, new(bytes.Buffer))
+}
+
+// ReadCheckpoint loads the checkpoint blob stored at k into buf, sized from
+// the open file, and returns it without the digest. The file is a 32-byte
 // SHA-256 of the payload followed by the payload; a mismatch (truncation, bit
 // rot, a torn write on a non-atomic filesystem) is a stale miss — the caller
 // falls back to re-deriving the state, never restores from damaged bytes.
-func (d *Disk) GetCheckpoint(k runner.CheckpointKey) ([]byte, bool) {
-	raw, err := os.ReadFile(d.ckptPath(CheckpointID(k)))
+func (d *Disk) ReadCheckpoint(k runner.CheckpointKey, buf *bytes.Buffer) ([]byte, bool) {
+	f, err := os.Open(d.ckptPath(CheckpointID(k)))
 	if err != nil {
 		return nil, false
 	}
-	if len(raw) < sha256.Size {
-		d.mu.Lock()
-		d.stale++
-		d.mu.Unlock()
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, false
+	}
+	size := fi.Size()
+	if size < sha256.Size || size > math.MaxInt {
+		d.countStale()
+		return nil, false
+	}
+	buf.Reset()
+	buf.Grow(int(size))
+	raw := buf.AvailableBuffer()[:size]
+	if _, err := io.ReadFull(f, raw); err != nil {
+		d.countStale()
 		return nil, false
 	}
 	blob := raw[sha256.Size:]
-	sum := sha256.Sum256(blob)
-	if !bytes.Equal(sum[:], raw[:sha256.Size]) {
-		d.mu.Lock()
-		d.stale++
-		d.mu.Unlock()
+	if sum := sha256.Sum256(blob); !bytes.Equal(sum[:], raw[:sha256.Size]) {
+		d.countStale()
 		return nil, false
 	}
 	return blob, true
+}
+
+func (d *Disk) countStale() {
+	d.mu.Lock()
+	d.stale++
+	d.mu.Unlock()
 }
 
 // PutCheckpoint persists blob under k, best-effort. The digest and the
@@ -211,16 +235,22 @@ func (t *Tiered) PutSlice(k runner.SliceKey, st *metrics.Stats) {
 	}
 }
 
-// GetCheckpoint reads a read-write store's checkpoints from disk only. A
-// read-only store consults memory first, which holds the checkpoints it
-// wrote, then disk. Disk hits are not promoted: they can be read again.
+// GetCheckpoint is ReadCheckpoint into a fresh buffer.
 func (t *Tiered) GetCheckpoint(k runner.CheckpointKey) ([]byte, bool) {
+	return t.ReadCheckpoint(k, new(bytes.Buffer))
+}
+
+// ReadCheckpoint reads a read-write store's checkpoints from disk only, into
+// buf. A read-only store consults memory first, which holds the checkpoints
+// it wrote, and returns those bytes as they are; then disk. Disk hits are not
+// promoted: they can be read again.
+func (t *Tiered) ReadCheckpoint(k runner.CheckpointKey, buf *bytes.Buffer) ([]byte, bool) {
 	if t.readOnly {
 		if blob, ok := t.mem.GetCheckpoint(k); ok {
 			return blob, ok
 		}
 	}
-	return t.disk.GetCheckpoint(k)
+	return t.disk.ReadCheckpoint(k, buf)
 }
 
 // PutCheckpoint writes the blob to disk, or, when read-only, keeps a copy in

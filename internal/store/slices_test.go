@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -113,6 +114,55 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	}
 	if c := d.Counters(); c.Stale != 2 {
 		t.Fatalf("stale = %d, want 2", c.Stale)
+	}
+
+	// A restore reads every checkpoint into one reused buffer. Damage read
+	// into a buffer that holds a good blob is a stale miss that hands back
+	// none of its bytes, the good blob then reads back exactly, and the
+	// buffer, which fits from the first read, is never reallocated.
+	large := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(large)
+	k.At++
+	d.PutCheckpoint(k, large)
+	path = d.ckptPath(CheckpointID(k))
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	first, ok := d.ReadCheckpoint(k, &buf)
+	if !ok || !bytes.Equal(first, large) {
+		t.Fatalf("large checkpoint read into a buffer: ok=%v, %d bytes", ok, len(first))
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0x01
+	for _, dmg := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"flipped-byte", flipped},
+		{"truncated", good[:len(good)-100]},
+		{"shorter-than-digest", good[:10]},
+	} {
+		if err := os.WriteFile(path, dmg.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := d.ReadCheckpoint(k, &buf); ok || len(got) != 0 {
+			t.Fatalf("%s checkpoint read into a used buffer: ok=%v, %d bytes", dmg.name, ok, len(got))
+		}
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok = d.ReadCheckpoint(k, &buf)
+	if !ok || !bytes.Equal(got, large) {
+		t.Fatalf("good checkpoint after damage: ok=%v, %d bytes", ok, len(got))
+	}
+	if &got[0] != &first[0] {
+		t.Error("reading blobs that fit the buffer reallocated it")
+	}
+	if c := d.Counters(); c.Stale != 5 {
+		t.Fatalf("stale = %d, want 5", c.Stale)
 	}
 }
 
